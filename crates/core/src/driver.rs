@@ -9,13 +9,18 @@
 use std::collections::BTreeMap;
 
 use kdchoice_expt::SweepRunner;
+use kdchoice_prng::sample::UniformBin;
 use kdchoice_prng::{derive_seed, Xoshiro256PlusPlus};
 
 use crate::compact::{BinSlab, StoreKind};
 use crate::probes::ProbeDistribution;
 use crate::process::{HeightSink, RoundProcess};
-use crate::snapshot::decide_k_least;
+use crate::snapshot::{
+    decide_k_least, rank_slots, slot_height, slot_index, sort_network, with_small_d, LoadView,
+    SMALL_D,
+};
 use crate::state::LoadVector;
+use crate::store::BinStore;
 
 /// Configuration of one simulation run.
 ///
@@ -254,6 +259,15 @@ pub fn run_once_on<P: RoundProcess + ?Sized>(
 /// the kernel selected, i.e. quantized heights for a packed slab (exact
 /// below saturation) and estimates for a sketch.
 ///
+/// Uniform probes with `d ≤ 16` run a fused, monomorphized round: the
+/// slab's variant is matched once per fill, the `d` draws are pulled as
+/// one block, and the probe sort, the kernel's key sort and the commit
+/// work on stack arrays. It consumes the generator exactly like the
+/// general loop, so the result is bit-identical to it. Winners are
+/// committed in the kernel's order: ascending `(height, tie key)` when
+/// fewer than `d` balls are placed, sorted-probe order when all `d`
+/// slots win, unspecified for `d > 16`.
+///
 /// Returns the final slab alongside the result so callers can read the
 /// normalized observables (`max_utilization`, `bytes_per_bin`, ...).
 ///
@@ -282,46 +296,102 @@ pub fn run_once_compact(
     };
     let mut rng = Xoshiro256PlusPlus::from_u64(config.seed);
     let mut heights = HeightHistogram::new();
-    let mut samples: Vec<usize> = Vec::with_capacity(d);
-    let mut slots: Vec<(u32, u64, usize)> = Vec::with_capacity(d);
-    let mut winners: Vec<usize> = Vec::with_capacity(k);
-    let uniform = probes.is_uniform();
-    let mut thrown = 0u64;
-    let mut rounds = 0u64;
-    let mut messages = 0u64;
-    while thrown < config.balls {
-        let balls = (config.balls - thrown).min(k as u64) as usize;
-        if uniform {
-            kdchoice_prng::sample::fill_with_replacement(&mut rng, n, d, &mut samples);
-        } else {
-            probes.fill(&mut rng, n, d, &mut samples);
-        }
-        samples.sort_unstable();
-        winners.clear();
-        decide_k_least(&slab, &samples, balls, &mut rng, &mut slots, &mut winners);
-        for &(height, _, bin) in &slots[..balls] {
-            heights.record(height);
-            slab.add_ball(bin);
-        }
-        thrown += balls as u64;
-        messages += d as u64;
-        rounds += 1;
-    }
+    let balls = config.balls;
+    let rounds = if probes.is_uniform() && d <= SMALL_D {
+        with_small_d!(d, |D| match &mut slab {
+            BinSlab::Exact(s) => fill_fused::<D, _>(s, k, balls, &mut rng, &mut heights),
+            BinSlab::Packed(s) => fill_fused::<D, _>(s, k, balls, &mut rng, &mut heights),
+            BinSlab::Sketch(s) => fill_fused::<D, _>(s, k, balls, &mut rng, &mut heights),
+        }, _ => unreachable!("d <= SMALL_D"))
+    } else {
+        fill_general(&mut slab, k, d, probes, balls, &mut rng, &mut heights)
+    };
     debug_assert!(slab.check_invariants());
     let result = RunResult {
         name: format!("({k},{d})-choice@{}", kind.name()),
         n,
-        balls_thrown: thrown,
-        balls_placed: thrown,
+        balls_thrown: balls,
+        balls_placed: balls,
         max_load: slab.max_load(),
-        gap: slab.max_load() as f64 - thrown as f64 / n as f64,
-        messages,
+        gap: slab.max_load() as f64 - balls as f64 / n as f64,
+        messages: rounds * d as u64,
         rounds,
         load_histogram: slab.histogram(),
         height_histogram: heights.into_counts(),
         seed: config.seed,
     };
     (result, slab)
+}
+
+/// The general [`run_once_compact`] loop: any probe distribution, any
+/// `d`, the slab's variant matched per load inside [`decide_k_least`].
+/// Places `balls` balls in rounds of up to `k` and returns the rounds.
+fn fill_general(
+    slab: &mut BinSlab,
+    k: usize,
+    d: usize,
+    probes: &ProbeDistribution,
+    balls: u64,
+    rng: &mut Xoshiro256PlusPlus,
+    heights: &mut HeightHistogram,
+) -> u64 {
+    let n = slab.n();
+    let uniform = probes.is_uniform();
+    let mut samples: Vec<usize> = Vec::with_capacity(d);
+    let mut slots: Vec<(u32, u64, usize)> = Vec::with_capacity(d);
+    let mut winners: Vec<usize> = Vec::with_capacity(k);
+    let (mut thrown, mut rounds) = (0u64, 0u64);
+    while thrown < balls {
+        let take = (balls - thrown).min(k as u64) as usize;
+        if uniform {
+            kdchoice_prng::sample::fill_with_replacement(rng, n, d, &mut samples);
+        } else {
+            probes.fill(rng, n, d, &mut samples);
+        }
+        samples.sort_unstable();
+        winners.clear();
+        decide_k_least(&*slab, &samples, take, rng, &mut slots, &mut winners);
+        for &(height, _, bin) in &slots[..take] {
+            heights.record(height);
+            slab.add_ball(bin);
+        }
+        thrown += take as u64;
+        rounds += 1;
+    }
+    rounds
+}
+
+/// The fused [`run_once_compact`] round for uniform probes at
+/// compile-time `d = D ≤ 16`, over one concrete store: the block
+/// sampler, the probe sort and the kernel's ranking run on stack
+/// arrays, then the winners are committed. Same arguments and return
+/// as [`fill_general`].
+fn fill_fused<const D: usize, S: BinStore + LoadView>(
+    store: &mut S,
+    k: usize,
+    balls: u64,
+    rng: &mut Xoshiro256PlusPlus,
+    heights: &mut HeightHistogram,
+) -> u64 {
+    let bins = UniformBin::new(store.n());
+    let (mut thrown, mut rounds) = (0u64, 0u64);
+    while thrown < balls {
+        let take = (balls - thrown).min(k as u64) as usize;
+        let mut sorted = [0usize; D];
+        for (probe, b) in sorted.iter_mut().zip(bins.sample_block(rng, &mut [0; D])) {
+            *probe = b;
+        }
+        sort_network(&mut sorted);
+        let mut keys = [0; D];
+        rank_slots(&*store, &sorted, take, rng, &mut keys);
+        for &key in &keys[..take] {
+            heights.record(slot_height(key));
+            store.add_ball(sorted[slot_index(key)]);
+        }
+        thrown += take as u64;
+        rounds += 1;
+    }
+    rounds
 }
 
 /// A collection of independent trials of the same process configuration.

@@ -7,12 +7,8 @@ use crate::error::ConfigError;
 use crate::policy::RoundPolicy;
 use crate::probes::ProbeDistribution;
 use crate::process::{HeightSink, RoundProcess, RoundStats};
+use crate::snapshot::{sort_network, with_small_d, SMALL_D};
 use crate::state::LoadVector;
-
-/// Largest `d` served by the fixed-array fast path of the batched engine.
-/// The paper's experiments use `d ≤ 17` only for the (16,17) cell; every
-/// other configuration fits comfortably.
-const SMALL_D: usize = 16;
 
 /// Which round engine a [`KdChoice`] instance runs.
 ///
@@ -412,25 +408,11 @@ impl KdChoice {
         R: RngCore + ?Sized,
         S: HeightSink + ?Sized,
     {
-        match self.d {
-            1 => round_small::<1, R, S>(state, rng, heights_out, balls),
-            2 => round_small::<2, R, S>(state, rng, heights_out, balls),
-            3 => round_small::<3, R, S>(state, rng, heights_out, balls),
-            4 => round_small::<4, R, S>(state, rng, heights_out, balls),
-            5 => round_small::<5, R, S>(state, rng, heights_out, balls),
-            6 => round_small::<6, R, S>(state, rng, heights_out, balls),
-            7 => round_small::<7, R, S>(state, rng, heights_out, balls),
-            8 => round_small::<8, R, S>(state, rng, heights_out, balls),
-            9 => round_small::<9, R, S>(state, rng, heights_out, balls),
-            10 => round_small::<10, R, S>(state, rng, heights_out, balls),
-            11 => round_small::<11, R, S>(state, rng, heights_out, balls),
-            12 => round_small::<12, R, S>(state, rng, heights_out, balls),
-            13 => round_small::<13, R, S>(state, rng, heights_out, balls),
-            14 => round_small::<14, R, S>(state, rng, heights_out, balls),
-            15 => round_small::<15, R, S>(state, rng, heights_out, balls),
-            16 => round_small::<16, R, S>(state, rng, heights_out, balls),
-            _ => unreachable!("small path requires d <= SMALL_D"),
-        }
+        with_small_d!(
+            self.d,
+            |D| round_small::<D, R, S>(state, rng, heights_out, balls),
+            _ => unreachable!("small path requires d <= SMALL_D")
+        )
     }
 }
 
@@ -494,13 +476,12 @@ fn round_small<const D: usize, R, S>(
     let bins_dist = UniformBin::new(state.n());
 
     // 1. Block-pull the round's raw randomness, then map to bins.
-    let mut raw = [0u64; D];
-    for slot in raw.iter_mut() {
-        *slot = rng.next_u64();
-    }
     let mut bins = [0u32; D];
-    for i in 0..D {
-        bins[i] = bins_dist.map_raw(raw[i], rng) as u32;
+    for (bin, b) in bins
+        .iter_mut()
+        .zip(bins_dist.sample_block(rng, &mut [0; D]))
+    {
+        *bin = b as u32;
     }
 
     // Distinctness check (O(D²) unrolled compares). With n ≫ d² a round
@@ -523,17 +504,8 @@ fn round_small<const D: usize, R, S>(
         key[i] = ((u64::from(state.load(bins[i] as usize)) + 1) << 32) | u64::from(bins[i]);
     }
 
-    // 3. Odd-even transposition network: D unrolled passes of branchless
-    //    compare-exchanges (min/max compile to cmov, no mispredictions).
-    for pass in 0..D {
-        let mut j = pass & 1;
-        while j + 1 < D {
-            let (a, b) = (key[j], key[j + 1]);
-            key[j] = a.min(b);
-            key[j + 1] = a.max(b);
-            j += 2;
-        }
-    }
+    // 3. Branchless sorting network over the packed keys.
+    sort_network(&mut key);
 
     // 4. Lazy tie-breaking: randomness only if the boundary height is
     //    shared between kept and discarded slots. (Keys ordered ties by

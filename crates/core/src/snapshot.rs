@@ -11,14 +11,13 @@
 //!
 //! [`LoadView`] names the one capability the decision step needs — "what
 //! is bin `b`'s load, as far as you know?" — so the same kernel,
-//! [`decide_k_least`], serves both the exact path (a [`LoadVector`]
-//! behind a lock) and the relaxed path (a snapshot refreshed every `R`
-//! commits). When the view is exact, the kernel is **bit-identical** to
-//! the lock-striped `ShardedStore::place_k_least` decision: same probe
-//! sort, same tentative-slot expansion under the multiplicity rule, same
-//! one-tie-key-per-slot RNG consumption, same `select_nth` pivot, same
-//! winner order. The cross-backend equivalence proptests in
-//! `kdchoice-service` lock that claim.
+//! [`decide_k_least`], serves the exact paths (a [`LoadVector`], a
+//! store slab, the striped backend's locked shards, the scheduler's
+//! worker loads) and the relaxed path (a snapshot refreshed every `R`
+//! commits): one probe sort, one tentative-slot expansion under the
+//! multiplicity rule, one tie key per slot, one winner order. The
+//! cross-backend equivalence proptests in `kdchoice-service` lock that
+//! the backends decide alike.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -88,6 +87,19 @@ impl LoadView for LoadVector {
     #[inline]
     fn prefetch(&self, bin: usize) {
         prefetch_read(&self.loads()[bin]);
+    }
+}
+
+/// A plain load slice is an exact view: the scheduler's worker loads.
+impl LoadView for [u32] {
+    #[inline]
+    fn view_n(&self) -> usize {
+        self.len()
+    }
+
+    #[inline]
+    fn view_load(&self, bin: usize) -> u32 {
+        self[bin]
     }
 }
 
@@ -203,6 +215,119 @@ impl LoadView for SharedLoadSnapshot {
     }
 }
 
+/// Largest probe count `d` served by the const-`D` paths: the
+/// decision kernel here, the compact fill's fused round and the static
+/// engine's `round_small`. The paper's experiments exceed it only in the
+/// (16,17) cell and the lazy-path Table 1 cells.
+pub(crate) const SMALL_D: usize = 16;
+
+/// Runs `$body` with `$D` bound to the runtime value `$d` as a `const
+/// usize` for `1..=SMALL_D`, and `$fallback` otherwise — the one runtime
+/// to const-generic dispatch the small-`d` paths share.
+macro_rules! with_small_d {
+    ($d:expr, |$D:ident| $body:expr, _ => $fallback:expr) => {
+        with_small_d!(@arms $d, $D, $body, $fallback; 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16)
+    };
+    (@arms $d:expr, $D:ident, $body:expr, $fallback:expr; $($n:literal)*) => {
+        match $d {
+            $($n => {
+                const $D: usize = $n;
+                $body
+            })*
+            _ => $fallback,
+        }
+    };
+}
+pub(crate) use with_small_d;
+
+/// Sorts `keys` ascending with an odd-even transposition network: `D`
+/// unrolled passes of branchless compare-exchanges (`min`/`max` compile
+/// to conditional moves, so no comparison mispredicts).
+#[inline]
+pub(crate) fn sort_network<T: Copy + Ord, const D: usize>(keys: &mut [T; D]) {
+    for pass in 0..D {
+        let mut j = pass & 1;
+        while j + 1 < D {
+            let (a, b) = (keys[j], keys[j + 1]);
+            keys[j] = a.min(b);
+            keys[j + 1] = a.max(b);
+            j += 2;
+        }
+    }
+}
+
+/// A ranked tentative slot of the const-`D` kernel, packed so one `u128`
+/// compare orders by `(height, tie key, slot)`: the height in bits
+/// 96..128, the tie key in bits 32..96 and the slot's index in
+/// sorted-probe order in bits 0..32.
+pub(crate) type SlotKey = u128;
+
+/// The tentative height of a [`SlotKey`].
+#[inline(always)]
+pub(crate) fn slot_height(key: SlotKey) -> u32 {
+    (key >> 96) as u32
+}
+
+/// The tie key of a [`SlotKey`].
+#[inline(always)]
+fn slot_tie(key: SlotKey) -> u64 {
+    (key >> 32) as u64
+}
+
+/// The sorted-probe index of a [`SlotKey`].
+#[inline(always)]
+pub(crate) fn slot_index(key: SlotKey) -> usize {
+    key as u32 as usize
+}
+
+/// The decision kernel for `d ≤ 16`: expands `sorted` (ascending,
+/// duplicates allowed) into one packed key per tentative slot under the
+/// multiplicity rule, drawing one tie key per slot in sorted-probe order,
+/// and ranks the keys. `keys` has the length of `sorted`, at most
+/// [`SMALL_D`]; only the sorting network is monomorphized per length, and
+/// a caller whose length is a constant gets the whole kernel unrolled.
+///
+/// For `k < d` the keys come back sorted ascending, so `keys[..k]` are
+/// the winners in `(height, tie key)` order. For `k == d` every slot wins
+/// and no sort runs: the keys stay in sorted-probe order. That is exactly
+/// what the general path's `select_nth_unstable_by` produces on at most
+/// 16 slots (it insertion-sorts them, and skips the call at `k == d`).
+///
+/// Each distinct bin's load is read once, after a prefetch of the whole
+/// probe batch (no RNG use, so the stream is unchanged).
+#[inline(always)]
+pub(crate) fn rank_slots<V, R>(
+    view: &V,
+    sorted: &[usize],
+    k: usize,
+    rng: &mut R,
+    keys: &mut [SlotKey],
+) where
+    V: LoadView + ?Sized,
+    R: RngCore + ?Sized,
+{
+    for &bin in sorted {
+        view.prefetch(bin);
+    }
+    let (mut prev, mut base, mut occ) = (None, 0u32, 0u32);
+    for (i, (key, &bin)) in keys.iter_mut().zip(sorted).enumerate() {
+        if prev != Some(bin) {
+            (prev, base, occ) = (Some(bin), view.view_load(bin), 0);
+        }
+        occ += 1;
+        *key = (SlotKey::from(base + occ) << 96)
+            | (SlotKey::from(rng.next_u64()) << 32)
+            | i as SlotKey;
+    }
+    if k < keys.len() {
+        with_small_d!(
+            keys.len(),
+            |D| sort_network::<SlotKey, D>(keys.try_into().expect("length D")),
+            _ => unreachable!("the kernel serves d <= SMALL_D")
+        );
+    }
+}
+
 /// The (k,d)-choice decision kernel over any [`LoadView`]: given the
 /// probed bins, pick the `k` tentative slots of least `(height, tie
 /// key)` under the paper's multiplicity rule.
@@ -210,15 +335,23 @@ impl LoadView for SharedLoadSnapshot {
 /// `sorted_probes` **must already be sorted ascending** (duplicates
 /// allowed — a bin probed `m` times contributes tentative slots at
 /// heights `L+1..=L+m`). One `rng.next_u64()` tie key is drawn per
-/// tentative slot in sorted-probe order, exactly like
-/// `ShardedStore::place_k_least`, so a caller replaying the same RNG
-/// stream against an exact view reproduces the locked path bit for bit.
+/// tentative slot in sorted-probe order, so a caller replaying the same
+/// RNG stream against an exact view reproduces the locked striped path
+/// bit for bit.
 ///
-/// Winner bins are appended to `bins_out` in selection order; the return
-/// value is the maximum tentative height among the winners (equal to the
-/// committed maximum height when the view is exact, a snapshot-tentative
-/// estimate otherwise). `slots` is caller-provided scratch, cleared on
-/// entry.
+/// On return `slots` holds every tentative slot `(height, tie key, bin)`
+/// and `slots[..k]` are the winners; their bins are appended to
+/// `bins_out` in the same order. The return value is the maximum
+/// tentative height among the winners (equal to the committed maximum
+/// height when the view is exact, a snapshot-tentative estimate
+/// otherwise). `slots` is caller-provided scratch, cleared on entry.
+///
+/// **Winner order.** For `d ≤ 16` a const-`D` kernel (packed `u128` keys
+/// and a branchless sorting network) runs, and for `k < d` the winners
+/// come in ascending `(height, tie key)` order — `slots` is fully
+/// sorted. For `k == d` every slot wins, in sorted-probe order. For
+/// `d > 16` the winners are selected with `select_nth_unstable_by` and
+/// their order is unspecified.
 ///
 /// # Panics
 ///
@@ -240,6 +373,43 @@ where
         "need 1 <= k <= d tentative slots (k={k}, d={})",
         sorted_probes.len()
     );
+    let d = sorted_probes.len();
+    if d > SMALL_D {
+        return decide_general(view, sorted_probes, k, rng, slots, bins_out);
+    }
+    let mut buf = [0 as SlotKey; SMALL_D];
+    let keys = &mut buf[..d];
+    rank_slots(view, sorted_probes, k, rng, keys);
+    slots.clear();
+    slots.extend(keys.iter().map(|&key| {
+        (
+            slot_height(key),
+            slot_tie(key),
+            sorted_probes[slot_index(key)],
+        )
+    }));
+    let mut max_height = 0;
+    for &key in &keys[..k] {
+        max_height = max_height.max(slot_height(key));
+        bins_out.push(sorted_probes[slot_index(key)]);
+    }
+    max_height
+}
+
+/// [`decide_k_least`] for `d > 16`: a `Vec` of slots and a
+/// `select_nth_unstable_by` partition.
+fn decide_general<V, R>(
+    view: &V,
+    sorted_probes: &[usize],
+    k: usize,
+    rng: &mut R,
+    slots: &mut Vec<(u32, u64, usize)>,
+    bins_out: &mut Vec<usize>,
+) -> u32
+where
+    V: LoadView + ?Sized,
+    R: RngCore + ?Sized,
+{
     slots.clear();
     // Issue the whole batch's prefetches before the first load read:
     // the expansion loop's cache misses then resolve in parallel

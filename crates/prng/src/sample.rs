@@ -80,6 +80,39 @@ impl UniformBin {
         rand::lemire_u64(rng, self.span) as usize
     }
 
+    /// Pulls `raw.len()` generator outputs into `raw` (a tight generator
+    /// loop), then returns them mapped to indices in `0..n` through
+    /// [`UniformBin::map_raw`]. The mapping is lazy, so it fuses into the
+    /// caller's write; the rare rejection fallback draws from `rng` as the
+    /// iterator reaches it. Consume the iterator fully: that is the
+    /// stream the batched samplers share.
+    ///
+    /// This is the one block sampler of the workspace:
+    /// [`fill_with_replacement`] runs it over blocks of up to 32 draws, and
+    /// the const-`D` round engines run it over a `[u64; D]` array, so the
+    /// loops unroll and the two consume the generator identically.
+    ///
+    /// ```
+    /// use kdchoice_prng::{sample::{fill_with_replacement, UniformBin}, Xoshiro256PlusPlus};
+    ///
+    /// let mut rng = Xoshiro256PlusPlus::from_u64(3);
+    /// let block: Vec<usize> = UniformBin::new(10).sample_block(&mut rng, &mut [0; 4]).collect();
+    /// let mut out = Vec::new();
+    /// fill_with_replacement(&mut Xoshiro256PlusPlus::from_u64(3), 10, 4, &mut out);
+    /// assert_eq!(block, out);
+    /// ```
+    #[inline(always)]
+    pub fn sample_block<'a, R: RngCore + ?Sized>(
+        &'a self,
+        rng: &'a mut R,
+        raw: &'a mut [u64],
+    ) -> impl Iterator<Item = usize> + 'a {
+        for slot in raw.iter_mut() {
+            *slot = rng.next_u64();
+        }
+        raw.iter().map(move |&r| self.map_raw(r, rng))
+    }
+
     /// Fills `out` with sequential draws — the **same generator stream**
     /// as calling [`UniformBin::sample`] once per slot, unlike the
     /// block-pulling [`fill_with_replacement`].
@@ -450,13 +483,7 @@ pub fn fill_with_replacement<R: RngCore + ?Sized>(
     let mut remaining = count;
     while remaining > 0 {
         let take = remaining.min(BLOCK);
-        // Block-pull raw outputs first (tight generator loop), then map.
-        for slot in raw[..take].iter_mut() {
-            *slot = rng.next_u64();
-        }
-        for &r in &raw[..take] {
-            out.push(bins.map_raw(r, rng));
-        }
+        out.extend(bins.sample_block(rng, &mut raw[..take]));
         remaining -= take;
     }
 }

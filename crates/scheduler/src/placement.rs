@@ -3,7 +3,7 @@
 use std::borrow::Cow;
 use std::cmp::Ordering;
 
-use kdchoice_core::PlacementObjective;
+use kdchoice_core::{decide_k_least, PlacementObjective};
 use kdchoice_prng::sample::fill_with_replacement;
 use rand::RngCore;
 
@@ -289,9 +289,10 @@ impl std::fmt::Display for PlacementStrategy {
 /// at most `m` tasks, and tasks go to the least loaded tentative slots
 /// (height = load + occurrence), ties broken randomly.
 ///
-/// This is the (k,d)-choice round kernel operating on an arbitrary load
-/// slice instead of a `LoadVector`, shared by the batch-sampling and
-/// (k,d)-choice strategies.
+/// This is the workspace's (k,d)-choice decision kernel,
+/// [`kdchoice_core::decide_k_least`], over the worker-load slice, shared
+/// by the batch-sampling and (k,d)-choice strategies; its winner-order
+/// contract carries over to the returned workers.
 ///
 /// # Panics
 ///
@@ -318,25 +319,15 @@ pub fn select_k_least_loaded<R: RngCore + ?Sized>(
         "cannot place {k} tasks on {} slots",
         samples.len()
     );
+    if samples.is_empty() {
+        return Vec::new();
+    }
     let mut sorted = samples.to_vec();
     sorted.sort_unstable();
-    // (height, random key, worker)
-    let mut slots: Vec<(u32, u64, usize)> = Vec::with_capacity(sorted.len());
-    let mut i = 0;
-    while i < sorted.len() {
-        let w = sorted[i];
-        let base = loads[w];
-        let mut occ = 0u32;
-        while i < sorted.len() && sorted[i] == w {
-            occ += 1;
-            slots.push((base + occ, rng.next_u64(), w));
-            i += 1;
-        }
-    }
-    if k < slots.len() {
-        slots.select_nth_unstable_by(k - 1, |a, b| (a.0, a.1).cmp(&(b.0, b.1)));
-    }
-    slots[..k].iter().map(|&(_, _, w)| w).collect()
+    let mut slots = Vec::with_capacity(sorted.len());
+    let mut chosen = Vec::with_capacity(k);
+    decide_k_least(loads, &sorted, k, rng, &mut slots, &mut chosen);
+    chosen
 }
 
 /// [`select_k_least_loaded`] over D-dimensional worker loads: the

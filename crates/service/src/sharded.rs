@@ -27,7 +27,7 @@
 use std::ops::{Deref, DerefMut};
 use std::sync::{Mutex, MutexGuard};
 
-use kdchoice_core::{BinSlab, BinStore, StoreKind};
+use kdchoice_core::{decide_k_least, BinSlab, BinStore, LoadView, StoreKind};
 use rand::RngCore;
 
 /// A shard slot padded out to a 64-byte cache line.
@@ -66,6 +66,27 @@ pub struct Placement {
     /// The maximum height among the placed balls — the job-completion
     /// proxy of §1.3.
     pub max_height: u32,
+}
+
+/// The loads of a request's locked shards, as the decision kernel sees
+/// them: global bin `b` reads local `b div shards` of the guard for shard
+/// `b mod shards`. Exact under the held locks.
+struct GuardView<'a, 'g> {
+    store: &'a ShardedStore,
+    guards: &'a [MutexGuard<'g, BinSlab>],
+    shard_ids: &'a [usize],
+}
+
+impl LoadView for GuardView<'_, '_> {
+    #[inline]
+    fn view_n(&self) -> usize {
+        self.store.n
+    }
+
+    #[inline]
+    fn view_load(&self, bin: usize) -> u32 {
+        self.guards[self.store.guard_of(self.shard_ids, bin)].load(self.store.local_of(bin))
+    }
 }
 
 /// A concurrent bin store: `n` bins striped across a power-of-two number
@@ -264,13 +285,16 @@ impl ShardedStore {
         shard_ids.sort_unstable();
         shard_ids.dedup();
         let mut guards = self.lock_in_order(&shard_ids);
-        self.serve_on_guards(&mut guards, &shard_ids, &sorted, k, rng)
+        let mut slots = Vec::with_capacity(sorted.len());
+        self.serve_on_guards(&mut guards, &shard_ids, &sorted, k, rng, &mut slots)
     }
 
-    /// The read–decide–commit kernel shared by [`ShardedStore::place_k_least`]
+    /// The read–decide–commit step shared by [`ShardedStore::place_k_least`]
     /// and [`ShardedStore::place_batch`]: `sorted_probes` are the request's
     /// probes in ascending order, `guards` hold (at least) every shard they
-    /// touch, keyed by the sorted `shard_ids`.
+    /// touch, keyed by the sorted `shard_ids`. The decision is the shared
+    /// [`decide_k_least`] kernel over the held guards; `slots` is its
+    /// scratch.
     fn serve_on_guards<R: RngCore + ?Sized>(
         &self,
         guards: &mut [MutexGuard<'_, BinSlab>],
@@ -278,39 +302,34 @@ impl ShardedStore {
         sorted_probes: &[usize],
         k: usize,
         rng: &mut R,
+        slots: &mut Vec<(u32, u64, usize)>,
     ) -> Placement {
-        // Tentative slots (height, tie key, bin), multiplicities expanded.
-        let mut slots: Vec<(u32, u64, usize)> = Vec::with_capacity(sorted_probes.len());
-        let mut i = 0;
-        while i < sorted_probes.len() {
-            let bin = sorted_probes[i];
-            let pos = shard_ids
-                .binary_search(&self.shard_of(bin))
-                .expect("shard was locked");
-            let base = guards[pos].load(self.local_of(bin));
-            let mut occ = 0u32;
-            while i < sorted_probes.len() && sorted_probes[i] == bin {
-                occ += 1;
-                slots.push((base + occ, rng.next_u64(), bin));
-                i += 1;
-            }
-        }
-        if k < slots.len() {
-            slots.select_nth_unstable_by(k - 1, |a, b| (a.0, a.1).cmp(&(b.0, b.1)));
-        }
+        let mut bins = Vec::with_capacity(k);
+        let view = GuardView {
+            store: self,
+            guards,
+            shard_ids,
+        };
+        decide_k_least(&view, sorted_probes, k, rng, slots, &mut bins);
 
         // Commit the k winners while still holding every involved lock.
-        let mut bins = Vec::with_capacity(k);
+        // The height comes from the commit, so a sketch shard reports
+        // what it stored, not the estimate it decided on.
         let mut max_height = 0u32;
-        for &(_, _, bin) in &slots[..k] {
-            let pos = shard_ids
-                .binary_search(&self.shard_of(bin))
-                .expect("shard was locked");
-            let height = guards[pos].add_ball(self.local_of(bin));
+        for &bin in &bins {
+            let height = guards[self.guard_of(shard_ids, bin)].add_ball(self.local_of(bin));
             max_height = max_height.max(height);
-            bins.push(bin);
         }
         Placement { bins, max_height }
+    }
+
+    /// The position in `shard_ids` (and in the matching guards) of the
+    /// shard holding `bin`.
+    #[inline]
+    fn guard_of(&self, shard_ids: &[usize], bin: usize) -> usize {
+        shard_ids
+            .binary_search(&self.shard_of(bin))
+            .expect("shard was locked")
     }
 
     /// Serves a whole batch of same-shaped placement requests with **one
@@ -360,13 +379,14 @@ impl ShardedStore {
         let mut guards = self.lock_in_order(&shard_ids);
 
         let mut sorted = Vec::with_capacity(d);
+        let mut slots = Vec::with_capacity(d);
         rngs.iter_mut()
             .enumerate()
             .map(|(i, rng)| {
                 sorted.clear();
                 sorted.extend_from_slice(&probes[i * d..(i + 1) * d]);
                 sorted.sort_unstable();
-                self.serve_on_guards(&mut guards, &shard_ids, &sorted, k, rng)
+                self.serve_on_guards(&mut guards, &shard_ids, &sorted, k, rng, &mut slots)
             })
             .collect()
     }
@@ -390,10 +410,7 @@ impl ShardedStore {
         shard_ids.dedup();
         let mut guards = self.lock_in_order(&shard_ids);
         for &bin in bins {
-            let pos = shard_ids
-                .binary_search(&self.shard_of(bin))
-                .expect("shard was locked");
-            guards[pos].remove_ball(self.local_of(bin));
+            guards[self.guard_of(&shard_ids, bin)].remove_ball(self.local_of(bin));
         }
     }
 
