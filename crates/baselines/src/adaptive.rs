@@ -106,6 +106,10 @@ impl RoundProcess for AdaptiveProbing {
             probes,
         }
     }
+
+    fn uniform_probes(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

@@ -106,6 +106,10 @@ impl RoundProcess for DChoice {
             probes: self.d as u64,
         }
     }
+
+    fn uniform_probes(&self) -> bool {
+        self.probes.is_uniform()
+    }
 }
 
 #[cfg(test)]

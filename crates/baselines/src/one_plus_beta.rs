@@ -122,6 +122,10 @@ impl RoundProcess for OnePlusBeta {
             probes,
         }
     }
+
+    fn uniform_probes(&self) -> bool {
+        self.probes.is_uniform()
+    }
 }
 
 #[cfg(test)]

@@ -55,6 +55,10 @@ impl RoundProcess for SingleChoice {
             probes: 1,
         }
     }
+
+    fn uniform_probes(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

@@ -71,6 +71,10 @@ impl RoundProcess for TruncatedSingleChoice {
             probes: 1,
         }
     }
+
+    fn uniform_probes(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

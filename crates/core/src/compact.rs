@@ -44,6 +44,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::lookahead::ProbeMap;
 use crate::snapshot::{LoadView, SharedLoadSnapshot};
 use crate::state::LoadVector;
 use crate::store::BinStore;
@@ -345,6 +346,16 @@ impl PackedStore {
         let words = (self.words.len() * 8) as u64;
         let side = self.exact.as_ref().map_or(0, |e| e.store_bytes());
         (words + side) as f64 / self.n as f64
+    }
+
+    /// The address map of the packed words, for a [`ProbeLookahead`]
+    /// over uniform probes into these bins. The words keep their length
+    /// for the life of the store (renormalization rewrites them in
+    /// place), so the map stays valid across mutations.
+    ///
+    /// [`ProbeLookahead`]: crate::ProbeLookahead
+    pub fn probe_map(&self) -> ProbeMap {
+        ProbeMap::over(&self.words, self.n, self.lane_shift)
     }
 
     /// Whether a heterogeneous side-table is attached.
@@ -1061,6 +1072,17 @@ impl BinSlab {
             BinSlab::Exact(s) => s.store_bytes() as f64 / s.n() as f64,
             BinSlab::Packed(p) => p.bytes_per_bin(),
             BinSlab::Sketch(s) => s.bytes_per_bin(),
+        }
+    }
+
+    /// The address map a uniform probe's load is read through: the
+    /// exact loads or the packed words. `None` for a sketch, whose
+    /// estimate reads one counter per hashed row, not one address.
+    pub fn probe_map(&self) -> Option<ProbeMap> {
+        match self {
+            BinSlab::Exact(s) => Some(s.probe_map()),
+            BinSlab::Packed(p) => Some(p.probe_map()),
+            BinSlab::Sketch(_) => None,
         }
     }
 

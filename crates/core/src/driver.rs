@@ -11,8 +11,10 @@ use std::collections::BTreeMap;
 use kdchoice_expt::SweepRunner;
 use kdchoice_prng::sample::UniformBin;
 use kdchoice_prng::{derive_seed, Xoshiro256PlusPlus};
+use rand::RngCore;
 
 use crate::compact::{BinSlab, StoreKind};
+use crate::lookahead::{out_of_line, ProbeLookahead, ProbeMap};
 use crate::probes::ProbeDistribution;
 use crate::process::{HeightSink, RoundProcess};
 use crate::snapshot::{
@@ -197,6 +199,12 @@ pub fn run_once_with_state<P: RoundProcess + ?Sized>(
 /// invariant (per-round progress, inline height histogramming, the
 /// determinism contract) in one place.
 ///
+/// When the process reports [`RoundProcess::uniform_probes`] and the
+/// load array is larger than [`LOOKAHEAD_MIN_BYTES`](crate::LOOKAHEAD_MIN_BYTES),
+/// the rounds draw from a [`ProbeLookahead`] over the run's generator:
+/// the same stream, with the next rounds' probe lines prefetched, so the
+/// result is bit-identical to a run on the bare generator.
+///
 /// # Panics
 ///
 /// Panics if `state.n() != config.n` or `state` already holds balls, and
@@ -210,37 +218,68 @@ pub fn run_once_on<P: RoundProcess + ?Sized>(
     assert_eq!(state.total_balls(), 0, "state must start empty");
     process.reset();
     let mut rng = Xoshiro256PlusPlus::from_u64(config.seed);
-    let mut heights = HeightHistogram::new();
-    let mut thrown = 0u64;
-    let mut placed = 0u64;
-    let mut messages = 0u64;
-    let mut rounds = 0u64;
-    while thrown < config.balls {
-        let stats = process.run_round(&mut state, &mut rng, &mut heights, config.balls - thrown);
-        assert!(stats.thrown > 0, "process made no progress in a round");
-        thrown += u64::from(stats.thrown);
-        assert!(thrown <= config.balls, "process overshot the ball budget");
-        placed += u64::from(stats.placed);
-        messages += stats.probes;
-        rounds += 1;
-        debug_assert_eq!(heights.total(), placed);
-    }
+    let map = state.probe_map();
+    let (heights, tally) = if process.uniform_probes() && map.engages() {
+        out_of_line(|| {
+            let mut ahead = ProbeLookahead::new(rng, map);
+            fill_rounds(process, &mut state, &mut ahead, config.balls)
+        })
+    } else {
+        fill_rounds(process, &mut state, &mut rng, config.balls)
+    };
     debug_assert!(state.check_invariants());
-    debug_assert_eq!(state.total_balls(), placed);
+    debug_assert_eq!(state.total_balls(), tally.placed);
     let result = RunResult {
         name: process.name(),
         n: config.n,
-        balls_thrown: thrown,
-        balls_placed: placed,
+        balls_thrown: tally.thrown,
+        balls_placed: tally.placed,
         max_load: state.max_load(),
-        gap: state.max_load() as f64 - placed as f64 / config.n as f64,
-        messages,
-        rounds,
+        gap: state.max_load() as f64 - tally.placed as f64 / config.n as f64,
+        messages: tally.messages,
+        rounds: tally.rounds,
         load_histogram: state.load_histogram().to_vec(),
         height_histogram: heights.into_counts(),
         seed: config.seed,
     };
     (result, state)
+}
+
+/// What [`fill_rounds`] counted.
+struct RoundTally {
+    thrown: u64,
+    placed: u64,
+    messages: u64,
+    rounds: u64,
+}
+
+/// The round loop of [`run_once_on`]: runs `process` until `balls` balls
+/// have been thrown.
+#[inline(always)]
+fn fill_rounds<P: RoundProcess + ?Sized, R: RngCore>(
+    process: &mut P,
+    state: &mut LoadVector,
+    rng: &mut R,
+    balls: u64,
+) -> (HeightHistogram, RoundTally) {
+    let mut heights = HeightHistogram::new();
+    let mut tally = RoundTally {
+        thrown: 0,
+        placed: 0,
+        messages: 0,
+        rounds: 0,
+    };
+    while tally.thrown < balls {
+        let stats = process.run_round(state, rng, &mut heights, balls - tally.thrown);
+        assert!(stats.thrown > 0, "process made no progress in a round");
+        tally.thrown += u64::from(stats.thrown);
+        assert!(tally.thrown <= balls, "process overshot the ball budget");
+        tally.placed += u64::from(stats.placed);
+        tally.messages += stats.probes;
+        tally.rounds += 1;
+        debug_assert_eq!(heights.total(), tally.placed);
+    }
+    (heights, tally)
 }
 
 /// Runs a static (k,d)-choice fill over a **memory-bounded** [`BinSlab`]
@@ -266,7 +305,11 @@ pub fn run_once_on<P: RoundProcess + ?Sized>(
 /// general loop, so the result is bit-identical to it. Winners are
 /// committed in the kernel's order: ascending `(height, tie key)` when
 /// fewer than `d` balls are placed, sorted-probe order when all `d`
-/// slots win, unspecified for `d > 16`.
+/// slots win, unspecified for `d > 16`. On an exact or packed slab whose
+/// probed array (loads or packed words) is larger than
+/// [`LOOKAHEAD_MIN_BYTES`](crate::LOOKAHEAD_MIN_BYTES), the fused round
+/// draws from a [`ProbeLookahead`], which hands out the same stream and
+/// prefetches the next rounds' probe lines; a sketch never does.
 ///
 /// Returns the final slab alongside the result so callers can read the
 /// normalized observables (`max_utilization`, `bytes_per_bin`, ...).
@@ -298,10 +341,17 @@ pub fn run_once_compact(
     let mut heights = HeightHistogram::new();
     let balls = config.balls;
     let rounds = if probes.is_uniform() && d <= SMALL_D {
-        with_small_d!(d, |D| match &mut slab {
-            BinSlab::Exact(s) => fill_fused::<D, _>(s, k, balls, &mut rng, &mut heights),
-            BinSlab::Packed(s) => fill_fused::<D, _>(s, k, balls, &mut rng, &mut heights),
-            BinSlab::Sketch(s) => fill_fused::<D, _>(s, k, balls, &mut rng, &mut heights),
+        let ahead = slab
+            .probe_map()
+            .filter(ProbeMap::engages)
+            .map(|map| ProbeLookahead::new(rng.clone(), map));
+        let heights = &mut heights;
+        with_small_d!(d, |D| match (&mut slab, ahead) {
+            (BinSlab::Exact(s), Some(mut a)) => fill_fused::<D, _, _>(s, k, balls, &mut a, heights),
+            (BinSlab::Packed(s), Some(mut a)) => fill_fused::<D, _, _>(s, k, balls, &mut a, heights),
+            (BinSlab::Exact(s), None) => fill_fused::<D, _, _>(s, k, balls, &mut rng, heights),
+            (BinSlab::Packed(s), None) => fill_fused::<D, _, _>(s, k, balls, &mut rng, heights),
+            (BinSlab::Sketch(s), _) => fill_fused::<D, _, _>(s, k, balls, &mut rng, heights),
         }, _ => unreachable!("d <= SMALL_D"))
     } else {
         fill_general(&mut slab, k, d, probes, balls, &mut rng, &mut heights)
@@ -365,12 +415,14 @@ fn fill_general(
 /// compile-time `d = D ≤ 16`, over one concrete store: the block
 /// sampler, the probe sort and the kernel's ranking run on stack
 /// arrays, then the winners are committed. Same arguments and return
-/// as [`fill_general`].
-fn fill_fused<const D: usize, S: BinStore + LoadView>(
+/// as [`fill_general`]. Out of line, one copy per `D`, store and
+/// generator type, as the dispatch in [`run_once_compact`] needs.
+#[inline(never)]
+fn fill_fused<const D: usize, S: BinStore + LoadView, R: RngCore>(
     store: &mut S,
     k: usize,
     balls: u64,
-    rng: &mut Xoshiro256PlusPlus,
+    rng: &mut R,
     heights: &mut HeightHistogram,
 ) -> u64 {
     let bins = UniformBin::new(store.n());

@@ -671,6 +671,13 @@ impl RoundProcess for KdChoice {
             probes: self.d as u64,
         }
     }
+
+    /// Uniform probes take one output each through the widening
+    /// multiply on every engine and policy (the block sampler, the
+    /// legacy `gen_range`, `fill_with_replacement`).
+    fn uniform_probes(&self) -> bool {
+        self.probes.is_uniform()
+    }
 }
 
 #[cfg(test)]

@@ -102,6 +102,22 @@ pub trait RoundProcess {
     /// Resets any per-run internal state (scratch buffers may be kept).
     /// The default implementation does nothing.
     fn reset(&mut self) {}
+
+    /// Whether every probe this process draws is one generator output
+    /// mapped onto `0..n` by the uniform widening multiply
+    /// ([`UniformBin::map_raw`], which `rand::lemire_u64` and
+    /// `gen_range(0..n)` share). The static drivers then run large fills
+    /// on a [`ProbeLookahead`](crate::ProbeLookahead), which prefetches
+    /// the bin each buffered output maps to.
+    ///
+    /// A performance hint only: the lookahead hands out the bare
+    /// generator's stream, so a wrong answer costs speed, never a result.
+    /// The default is `false`.
+    ///
+    /// [`UniformBin::map_raw`]: kdchoice_prng::sample::UniformBin::map_raw
+    fn uniform_probes(&self) -> bool {
+        false
+    }
 }
 
 /// The object-safe shim over [`RoundProcess`].

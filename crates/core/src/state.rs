@@ -2,6 +2,8 @@
 
 use rand::{Rng, RngCore};
 
+use crate::lookahead::ProbeMap;
+
 /// One capacity class of a heterogeneous bin set: all bins sharing one
 /// capacity value, with their own count-by-load histogram and max load —
 /// the structure that keeps capacity-normalized observables cheap.
@@ -397,6 +399,15 @@ impl LoadVector {
     /// A borrowed view of per-bin loads (by bin index).
     pub fn loads(&self) -> &[u32] {
         &self.loads
+    }
+
+    /// The address map of the load array, for a [`ProbeLookahead`] over
+    /// uniform probes into these bins. The array keeps its length for
+    /// the life of the vector, so the map stays valid across mutations.
+    ///
+    /// [`ProbeLookahead`]: crate::ProbeLookahead
+    pub fn probe_map(&self) -> ProbeMap {
+        ProbeMap::over(&self.loads, self.n(), 0)
     }
 
     /// The loads sorted in descending order — the paper's sorted load vector

@@ -7,8 +7,10 @@
 //! choice's diverges. [`run_with_trace`] records checkpoints along the way.
 
 use kdchoice_prng::Xoshiro256PlusPlus;
+use rand::RngCore;
 
 use crate::driver::RunConfig;
+use crate::lookahead::{out_of_line, ProbeLookahead};
 use crate::process::RoundProcess;
 use crate::state::LoadVector;
 
@@ -31,6 +33,9 @@ pub struct TracePoint {
 ///
 /// Checkpoints must be strictly increasing; values beyond `config.balls`
 /// are ignored. The final state is always recorded as the last point.
+///
+/// Large fills run on a [`ProbeLookahead`] exactly as in
+/// [`crate::run_once_on`], with bit-identical results.
 ///
 /// # Panics
 ///
@@ -61,19 +66,39 @@ pub fn run_with_trace<P: RoundProcess + ?Sized>(
     process.reset();
     let mut state = LoadVector::new(config.n);
     let mut rng = Xoshiro256PlusPlus::from_u64(config.seed);
+    let map = state.probe_map();
+    if process.uniform_probes() && map.engages() {
+        out_of_line(|| {
+            let mut ahead = ProbeLookahead::new(rng, map);
+            trace_rounds(process, config, checkpoints, &mut state, &mut ahead)
+        })
+    } else {
+        trace_rounds(process, config, checkpoints, &mut state, &mut rng)
+    }
+}
+
+/// The round loop of [`run_with_trace`].
+#[inline(always)]
+fn trace_rounds<P: RoundProcess + ?Sized, R: RngCore>(
+    process: &mut P,
+    config: &RunConfig,
+    checkpoints: &[u64],
+    state: &mut LoadVector,
+    rng: &mut R,
+) -> Vec<TracePoint> {
     let mut thrown = 0u64;
     let mut trace: Vec<TracePoint> = Vec::with_capacity(checkpoints.len() + 1);
     let mut next_checkpoint = 0usize;
     while thrown < config.balls {
         // Tracing only observes the bin state; heights go to the null sink.
-        let stats = process.run_round(&mut state, &mut rng, &mut (), config.balls - thrown);
+        let stats = process.run_round(state, rng, &mut (), config.balls - thrown);
         assert!(stats.thrown > 0, "process made no progress in a round");
         thrown += u64::from(stats.thrown);
         while next_checkpoint < checkpoints.len()
             && thrown >= checkpoints[next_checkpoint]
             && checkpoints[next_checkpoint] <= config.balls
         {
-            trace.push(snapshot(&state, thrown));
+            trace.push(snapshot(state, thrown));
             next_checkpoint += 1;
         }
         // Skip checkpoints beyond the budget.
@@ -83,7 +108,7 @@ pub fn run_with_trace<P: RoundProcess + ?Sized>(
     }
     match trace.last() {
         Some(last) if last.balls == thrown => {}
-        _ => trace.push(snapshot(&state, thrown)),
+        _ => trace.push(snapshot(state, thrown)),
     }
     trace
 }

@@ -30,7 +30,7 @@ pub mod sample;
 mod splitmix;
 mod xoshiro;
 
-pub use splitmix::SplitMix64;
+pub use splitmix::{fill_bytes_via_u64, SplitMix64};
 pub use xoshiro::Xoshiro256PlusPlus;
 
 /// Derives a 64-bit sub-seed from a master seed and a stream index.

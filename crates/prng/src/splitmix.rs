@@ -74,7 +74,12 @@ impl SeedableRng for SplitMix64 {
 }
 
 /// Fills `dest` with the little-endian bytes of successive `next_u64` calls.
-pub(crate) fn fill_bytes_via_u64<R: RngCore>(rng: &mut R, dest: &mut [u8]) {
+///
+/// This is the `fill_bytes` of both workspace generators: whole 8-byte
+/// chunks take one output each, and a trailing partial chunk takes the
+/// low bytes of one more. Adapters that must reproduce a generator's
+/// byte stream exactly call it too.
+pub fn fill_bytes_via_u64<R: RngCore>(rng: &mut R, dest: &mut [u8]) {
     let mut chunks = dest.chunks_exact_mut(8);
     for chunk in &mut chunks {
         chunk.copy_from_slice(&rng.next_u64().to_le_bytes());

@@ -66,6 +66,17 @@ fn dispatch(raw: &[String]) -> Result<(), Box<dyn Error>> {
     }
 }
 
+/// Rejects an argument the library would assert on: `Err(message)`
+/// unless `ok`, so bad input prints an error and the usage instead of
+/// a panic.
+fn require(ok: bool, message: &str) -> Result<(), Box<dyn Error>> {
+    if ok {
+        Ok(())
+    } else {
+        Err(message.into())
+    }
+}
+
 fn cmd_run(args: &CliArgs) -> Result<(), Box<dyn Error>> {
     let k = args.get_usize("k", 2)?;
     let d = args.get_usize("d", 3)?;
@@ -73,6 +84,8 @@ fn cmd_run(args: &CliArgs) -> Result<(), Box<dyn Error>> {
     let balls = args.get_u64("balls", n as u64)?;
     let seed = args.get_u64("seed", 42)?;
     let trials = args.get_usize("trials", 1)?;
+    require(n >= 1, "--n must be at least 1")?;
+    require(trials >= 1, "--trials must be at least 1")?;
     let policy = if args.get_flag("unrestricted") {
         RoundPolicy::Unrestricted
     } else {
@@ -91,14 +104,15 @@ fn cmd_run(args: &CliArgs) -> Result<(), Box<dyn Error>> {
             )
         },
         &cfg,
-        trials.max(1),
+        trials,
     );
     println!("({k},{d})-choice [{policy}]: {balls} balls into {n} bins, {trials} trial(s)");
     println!("  max loads    : {}", set.max_load_set_string());
     println!("  mean max     : {:.3}", set.mean_max_load());
     println!("  mean gap     : {:.3}", set.mean_gap());
     println!("  messages/ball: {:.3}", messages_per_ball(k, d));
-    if k < d {
+    // Theorem 1's prediction is defined from n = 4 on.
+    if k < d && n >= 4 {
         let p = theorem1_prediction(k, d, n);
         println!(
             "  theory       : {:.2} (layered {:.2} + dk {:.2}, {:?})",
@@ -115,6 +129,8 @@ fn cmd_compare(args: &CliArgs) -> Result<(), Box<dyn Error>> {
     let n = args.get_usize("n", 1 << 16)?;
     let trials = args.get_usize("trials", 5)?;
     let seed = args.get_u64("seed", 42)?;
+    require(n >= 1, "--n must be at least 1")?;
+    require(trials >= 1, "--trials must be at least 1")?;
     let cfg = RunConfig::new(n, seed);
     println!(
         "{:<22} {:>12} {:>10} {:>12}",
@@ -173,6 +189,7 @@ fn cmd_trace(args: &CliArgs) -> Result<(), Box<dyn Error>> {
     let n = args.get_usize("n", 1 << 12)?;
     let ratio = args.get_u64("ratio", 16)?;
     let seed = args.get_u64("seed", 42)?;
+    require(n >= 1, "--n must be at least 1")?;
     let mut p = KdChoice::new(k, d)?;
     let balls = ratio * n as u64;
     let checkpoints: Vec<u64> = (1..ratio).map(|i| i * n as u64).collect();
@@ -203,6 +220,7 @@ fn cmd_bounds(args: &CliArgs) -> Result<(), Box<dyn Error>> {
     let d = args.get_usize("d", 3)?;
     let n = args.get_usize("n", 3 * (1 << 16))?;
     KdChoice::new(k, d)?;
+    require(n >= 4, "--n must be at least 4")?;
     let p = theorem1_prediction(k, d, n);
     println!("(k,d) = ({k},{d}), n = {n}");
     println!("  regime        : {:?}", p.regime);
@@ -226,6 +244,10 @@ fn cmd_scheduler(args: &CliArgs) -> Result<(), Box<dyn Error>> {
     let jobs = args.get_usize("jobs", 10_000)?;
     let util = args.get_f64("util", 0.85)?;
     let seed = args.get_u64("seed", 42)?;
+    require(workers >= 1, "--workers must be at least 1")?;
+    require(k >= 1, "--k must be at least 1")?;
+    require(jobs >= 1, "--jobs must be at least 1")?;
+    require(util > 0.0 && util < 1.0, "--util must be in (0, 1)")?;
     let cfg = ClusterConfig::new(workers, k, jobs, seed).with_utilization(util);
     println!(
         "{:<22} {:>10} {:>8} {:>8} {:>12}",
@@ -259,6 +281,10 @@ fn cmd_storage(args: &CliArgs) -> Result<(), Box<dyn Error>> {
     let d = args.get_usize("d", 2 * k)?;
     let failures = args.get_usize("failures", 0)?;
     let seed = args.get_u64("seed", 42)?;
+    require(servers >= 1, "--servers must be at least 1")?;
+    require(failures < servers, "--failures must be below --servers")?;
+    require(k >= 1, "--k must be at least 1")?;
+    require(d >= k, "--d must be at least --k")?;
     println!(
         "{:<20} {:>8} {:>10} {:>12} {:>12}",
         "policy", "max", "imbalance", "probes/file", "read msgs"
