@@ -42,14 +42,16 @@
 //! | ball conservation, invariants | exact | **exact** (checked every run) |
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Barrier, OnceLock};
+use std::sync::Barrier;
 use std::time::Instant;
 
 use kdchoice_core::{decide_k_least, BinSlab, LoadSnapshot, StoreKind};
 use kdchoice_prng::{derive_seed, Xoshiro256PlusPlus};
 use rand::RngCore;
 
-use crate::pipeline::{want_sample, worker_slice, DriveOutcome, OpenLoopConfig, TickSample};
+use crate::pipeline::{
+    want_sample, worker_slice, DriveOutcome, OpenLoopConfig, PlacementLedger, TickSample,
+};
 use crate::service::{ServiceReport, ServiceWorkloadConfig};
 use crate::sharded::Placement;
 use crate::traffic::TrafficSchedule;
@@ -540,6 +542,15 @@ fn merge_states(engine: &OwnedShardEngine, states: &[ShardState]) -> MergedState
 /// One worker's sampled `(live, max)` pairs for the configured ticks.
 type LocalSamples = Vec<(u64, u32)>;
 
+/// One worker's reusable buffers: sorted probes, decision slots and
+/// winner / departing bins.
+#[derive(Default)]
+struct OwnedScratch {
+    probes: Vec<usize>,
+    slots: Vec<(u32, u64, usize)>,
+    bins: Vec<usize>,
+}
+
 /// The per-tick body shared by the single- and multi-thread open-loop
 /// drivers: route my slice of departures, then decide + route my slice
 /// of commits.
@@ -548,38 +559,42 @@ fn owned_tick(
     engine: &OwnedShardEngine,
     config: &OpenLoopConfig,
     schedule: &TrafficSchedule,
-    slots: &[OnceLock<Placement>],
+    ledger: &PlacementLedger,
     t: usize,
     w: usize,
     workers: usize,
     state: &mut ShardState,
-    probes_scratch: &mut [usize],
-    slots_scratch: &mut Vec<(u32, u64, usize)>,
+    scratch: &mut OwnedScratch,
 ) {
     let departures = &schedule.departures[t];
     let (lo, hi) = worker_slice((0, departures.len() as u32), workers, w);
     for &id in &departures[lo as usize..hi as usize] {
-        let placement = slots[id as usize].get().expect("departure precedes commit");
-        for &bin in &placement.bins {
+        scratch.bins.clear();
+        ledger.recall_into(id, &mut scratch.bins);
+        for &bin in &scratch.bins {
             engine.submit_remove(w, bin, state);
         }
     }
     let range = worker_slice(schedule.commit_ranges[t], workers, w);
+    scratch.probes.resize(config.d, 0);
     for id in range.0..range.1 {
         let mut rng = Xoshiro256PlusPlus::from_u64(config.request_seed(id));
         config
             .probes
-            .fill_each(&mut rng, config.bins, probes_scratch);
-        probes_scratch.sort_unstable();
-        let mut bins = Vec::with_capacity(config.k);
-        let max_height =
-            engine.decide(probes_scratch, config.k, &mut rng, slots_scratch, &mut bins);
-        for &bin in &bins {
+            .fill_each(&mut rng, config.bins, &mut scratch.probes);
+        scratch.probes.sort_unstable();
+        scratch.bins.clear();
+        engine.decide(
+            &scratch.probes,
+            config.k,
+            &mut rng,
+            &mut scratch.slots,
+            &mut scratch.bins,
+        );
+        for &bin in &scratch.bins {
             engine.submit_add(w, bin, state);
         }
-        assert!(slots[id as usize]
-            .set(Placement { bins, max_height })
-            .is_ok());
+        ledger.record(id, &scratch.bins);
     }
 }
 
@@ -588,14 +603,18 @@ fn owned_tick(
 /// `threads == 1` runs inline: no rings, and with `snapshot_refresh ==
 /// 1` the snapshot is synchronous, so the run is bit-identical to the
 /// striped backend (locked by `tests/backend_equivalence.rs`). With
-/// more threads each tick ends in two rendezvous: first a
-/// **drain-while-waiting** one — a worker that has routed all of its
-/// releases and commits keeps draining its own inbox (never parking)
-/// until every worker has finished pushing, which is what keeps a
-/// neighbour stuck in the full-ring submit path live — then, once all
-/// pushes of the tick are drained and sampled, a parking barrier (safe
-/// there: nobody pushes between the two rendezvous points, so no one
-/// can need a parked worker's drain).
+/// more threads every worker is spawned (each owns a shard and must
+/// drain its inbox, so the caller only merges) and each tick ends in
+/// two rendezvous: first a **drain-while-waiting** one — a worker that
+/// has routed all of its releases and commits keeps draining its own
+/// inbox (never parking) until every worker has finished pushing, which
+/// is what keeps a neighbour stuck in the full-ring submit path live —
+/// then, once all pushes of the tick are drained and sampled, a parking
+/// barrier (safe there: nobody pushes between the two rendezvous
+/// points, so no one can need a parked worker's drain). Every worker
+/// samples its own shard; the caller merges the samples after the run.
+/// Placements go through the run's [`PlacementLedger`], whose `Relaxed`
+/// accesses are ordered by these per-tick rendezvous.
 pub(crate) fn drive_open_loop_owned(
     config: &OpenLoopConfig,
     schedule: &TrafficSchedule,
@@ -608,6 +627,7 @@ pub(crate) fn drive_open_loop_owned(
         config.snapshot_refresh >= 1,
         "snapshot refresh period must be at least 1"
     );
+    let setup = Instant::now();
     let workers = config.threads;
     let (engine, mut states) = match &config.capacities {
         None => {
@@ -621,32 +641,29 @@ pub(crate) fn drive_open_loop_owned(
             config.store,
         ),
     };
-    let slots: Vec<OnceLock<Placement>> = (0..schedule.timings.len())
-        .map(|_| OnceLock::new())
-        .collect();
+    let ledger = PlacementLedger::new(schedule.timings.len(), config.k);
     let ticks = config.traffic.ticks as usize;
     let sampled_ticks: Vec<usize> = (0..ticks)
         .filter(|&t| want_sample(t, config.sample_every, ticks))
         .collect();
+    let setup_secs = setup.elapsed().as_secs_f64();
 
     let start = Instant::now();
     let (states, per_worker_samples): (Vec<ShardState>, Vec<LocalSamples>) = if workers == 1 {
         let mut state = states.pop().expect("one worker");
-        let mut probes_scratch = vec![0usize; config.d];
-        let mut slots_scratch = Vec::with_capacity(config.d);
+        let mut scratch = OwnedScratch::default();
         let mut samples = Vec::with_capacity(sampled_ticks.len());
         for t in 0..ticks {
             owned_tick(
                 &engine,
                 config,
                 schedule,
-                &slots,
+                &ledger,
                 t,
                 0,
                 1,
                 &mut state,
-                &mut probes_scratch,
-                &mut slots_scratch,
+                &mut scratch,
             );
             if want_sample(t, config.sample_every, ticks) {
                 samples.push((state.state.total_balls(), state.state.max_load()));
@@ -668,24 +685,22 @@ pub(crate) fn drive_open_loop_owned(
                     let engine = &engine;
                     let barrier = &barrier;
                     let pushed = &pushed;
-                    let slots = &slots;
+                    let ledger = &ledger;
                     let sampled = sampled_ticks.len();
                     scope.spawn(move || {
-                        let mut probes_scratch = vec![0usize; config.d];
-                        let mut slots_scratch = Vec::with_capacity(config.d);
+                        let mut scratch = OwnedScratch::default();
                         let mut samples = Vec::with_capacity(sampled);
                         for t in 0..ticks {
                             owned_tick(
                                 engine,
                                 config,
                                 schedule,
-                                slots,
+                                ledger,
                                 t,
                                 w,
                                 workers,
                                 &mut state,
-                                &mut probes_scratch,
-                                &mut slots_scratch,
+                                &mut scratch,
                             );
                             // Drain-while-waiting rendezvous: a parked
                             // barrier here can deadlock — a worker stuck
@@ -737,6 +752,7 @@ pub(crate) fn drive_open_loop_owned(
     let merged = merge_states(&engine, &states);
     DriveOutcome {
         series,
+        setup_secs,
         wall_secs,
         live_balls: merged.live_balls,
         final_histogram: merged.histogram,

@@ -81,8 +81,9 @@
 //! single-threaded batched run is bit-identical to the per-request path
 //! (locked by `tests/store_equivalence.rs`). The per-module docs spell
 //! the guarantees out: [`traffic`] (virtual-clock semantics), `pipeline`
-//! (the 3-phase tick barrier and the exact survives-concurrency table),
-//! `sharded` (striping and lock discipline).
+//! (the tick loop, the placement ledger and the exact
+//! survives-concurrency table), `sharded` (striping and lock
+//! discipline).
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

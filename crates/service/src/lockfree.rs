@@ -60,7 +60,6 @@
 //! | gap envelope (Theorem 2) | exact statistics | statistical, asserted at 1/2/4/8 threads |
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Barrier, OnceLock};
 use std::time::Instant;
 
 use kdchoice_core::{
@@ -69,7 +68,9 @@ use kdchoice_core::{
 use kdchoice_prng::{derive_seed, Xoshiro256PlusPlus};
 use rand::RngCore;
 
-use crate::pipeline::{want_sample, worker_slice, DriveOutcome, OpenLoopConfig, TickSample};
+use crate::pipeline::{
+    run_ticks, worker_slice, DriveOutcome, OpenLoopConfig, PlacementLedger, TickSample,
+};
 use crate::service::{ServiceReport, ServiceWorkloadConfig};
 use crate::sharded::Placement;
 use crate::traffic::TrafficSchedule;
@@ -129,9 +130,8 @@ pub struct AtomicStore {
     fallback_commits: AtomicU64,
 }
 
-/// Reusable per-worker scratch for [`AtomicStore::place_with`] — keeps
-/// the hot path free of allocations other than the returned
-/// [`Placement`] itself.
+/// Reusable per-worker scratch for [`AtomicStore::place_into`] — keeps
+/// the hot path free of allocations.
 #[derive(Debug, Default)]
 pub struct PlaceScratch {
     sorted: Vec<usize>,
@@ -269,11 +269,32 @@ impl AtomicStore {
         self.ops_completed.fetch_add(1, Ordering::SeqCst);
     }
 
+    /// Serves one placement request with caller-provided scratch and
+    /// returns it as an owned [`Placement`] — a wrapper over
+    /// [`AtomicStore::place_into`].
+    ///
+    /// # Panics
+    ///
+    /// As [`AtomicStore::place_into`].
+    pub fn place_with<R: RngCore + ?Sized>(
+        &self,
+        probes: &[usize],
+        k: usize,
+        rng: &mut R,
+        scratch: &mut PlaceScratch,
+    ) -> Placement {
+        let mut bins = Vec::with_capacity(k);
+        let max_height = self.place_into(probes, k, rng, scratch, &mut bins);
+        Placement { bins, max_height }
+    }
+
     /// Serves one placement request with caller-provided scratch: probes
     /// are sorted, decided through [`decide_k_least`] against a frozen
     /// read of the probed counters, and committed by per-bin CAS (see
-    /// the module docs for the retry/fallback protocol). The returned
-    /// heights are CAS-validated true heights.
+    /// the module docs for the retry/fallback protocol). The `k` winner
+    /// bins are appended to `out` and the tallest CAS-validated true
+    /// height is returned; nothing is allocated once the scratch and
+    /// `out` have grown.
     ///
     /// RNG consumption per attempt is identical to
     /// `ShardedStore::place_k_least`; at one thread no CAS can fail, so
@@ -284,13 +305,15 @@ impl AtomicStore {
     ///
     /// Panics if `k == 0`, `k > probes.len()`, or any probe is out of
     /// range.
-    pub fn place_with<R: RngCore + ?Sized>(
+    pub fn place_into<R: RngCore + ?Sized>(
         &self,
         probes: &[usize],
         k: usize,
         rng: &mut R,
         scratch: &mut PlaceScratch,
-    ) -> Placement {
+        out: &mut Vec<usize>,
+    ) -> u32 {
+        let start = out.len();
         let n = self.truth.len();
         scratch.sorted.clear();
         scratch.sorted.extend_from_slice(probes);
@@ -325,18 +348,11 @@ impl AtomicStore {
                 loads: &scratch.frozen,
                 ceiling: self.ceiling,
             };
-            let mut bins = Vec::with_capacity(k);
-            decide_k_least(
-                &view,
-                &scratch.sorted,
-                k,
-                rng,
-                &mut scratch.slots,
-                &mut bins,
-            );
+            out.truncate(start);
+            decide_k_least(&view, &scratch.sorted, k, rng, &mut scratch.slots, out);
             scratch.mult.clear();
             scratch.mult.resize(scratch.distinct.len(), 0);
-            for &bin in &bins {
+            for &bin in &out[start..] {
                 let i = scratch
                     .distinct
                     .binary_search(&bin)
@@ -373,7 +389,7 @@ impl AtomicStore {
                     self.fallback_commits.fetch_add(1, Ordering::Relaxed);
                 }
                 self.end_op();
-                return Placement { bins, max_height };
+                return max_height;
             };
             // Lost the race: undo this attempt's earlier commits (our own
             // balls only, so the guarded subtraction cannot underflow),
@@ -599,125 +615,94 @@ fn sample(store: &AtomicStore, tick: u32) -> TickSample {
     }
 }
 
+/// One worker's reusable buffers for the lock-free pipeline: probes,
+/// placement scratch and winner / departing bins.
+type LockFreeScratch = (Vec<usize>, PlaceScratch, Vec<usize>);
+
 /// The shared read-only context of one lock-free open-loop run. Both
 /// pipeline modes run the identical per-request path — there are no
 /// locks to amortize, so batching has nothing to batch.
 struct LockFreePipeline<'a> {
     store: &'a AtomicStore,
-    probes: &'a ProbeDistribution,
-    n: usize,
     schedule: &'a TrafficSchedule,
-    slots: &'a [OnceLock<Placement>],
-    k: usize,
-    d: usize,
+    ledger: &'a PlacementLedger,
     config: &'a OpenLoopConfig,
 }
 
 impl LockFreePipeline<'_> {
-    /// Commits requests `[range.0, range.1)` in id order: per-request
-    /// RNG from `(seed, id)`, `d` probe draws, then the CAS-committed
-    /// placement — the same stream as the striped per-request path.
-    fn commit(&self, range: (u32, u32), probes: &mut Vec<usize>, scratch: &mut PlaceScratch) {
+    /// Commits worker `w`'s share of tick `t`'s requests in id order:
+    /// per-request RNG from `(seed, id)`, `d` probe draws, then the
+    /// CAS-committed placement — the same stream as the striped
+    /// per-request path.
+    fn commit_slice(&self, t: usize, workers: usize, w: usize, scratch: &mut LockFreeScratch) {
+        let (probes, place, bins) = scratch;
+        let config = self.config;
+        let range = worker_slice(self.schedule.commit_ranges[t], workers, w);
         for id in range.0..range.1 {
-            let mut rng = Xoshiro256PlusPlus::from_u64(self.config.request_seed(id));
+            let mut rng = Xoshiro256PlusPlus::from_u64(config.request_seed(id));
             probes.clear();
-            probes.extend((0..self.d).map(|_| self.probes.sample(&mut rng, self.n)));
-            let placement = self.store.place_with(probes, self.k, &mut rng, scratch);
-            assert!(self.slots[id as usize].set(placement).is_ok());
+            probes.extend((0..config.d).map(|_| config.probes.sample(&mut rng, config.bins)));
+            bins.clear();
+            self.store
+                .place_into(probes, config.k, &mut rng, place, bins);
+            self.ledger.record(id, bins);
         }
     }
 
-    /// Releases one worker's share of tick `t`'s departures.
-    fn release_slice(&self, t: usize, workers: usize, w: usize) {
+    /// Releases worker `w`'s share of tick `t`'s departures.
+    fn release_slice(&self, t: usize, workers: usize, w: usize, scratch: &mut LockFreeScratch) {
+        let bins = &mut scratch.2;
         let departures = &self.schedule.departures[t];
         let (lo, hi) = worker_slice((0, departures.len() as u32), workers, w);
         for &id in &departures[lo as usize..hi as usize] {
-            let placement = self.slots[id as usize]
-                .get()
-                .expect("departure precedes commit");
-            self.store.release(&placement.bins);
+            bins.clear();
+            self.ledger.recall_into(id, bins);
+            self.store.release(bins);
         }
     }
 }
 
-/// Drives an open-loop schedule through the lock-free store: single
-/// thread inline, or persistent workers under the same 3-phase tick
-/// barrier as the striped driver (releases, commits, quiescent sample).
-/// `snapshot_refresh` is ignored — the counters *are* the truth, so
-/// there is nothing to republish; staleness here comes from racing, not
-/// from a refresh period.
+/// Drives an open-loop schedule through the lock-free store under the
+/// same tick loop as the striped driver ([`run_ticks`]: the caller is
+/// worker 0 and takes the quiescent sample). `snapshot_refresh` is
+/// ignored — the counters *are* the truth, so there is nothing to
+/// republish; staleness here comes from racing, not from a refresh
+/// period.
 pub(crate) fn drive_open_loop_lockfree(
     config: &OpenLoopConfig,
     schedule: &TrafficSchedule,
 ) -> DriveOutcome {
+    let setup = Instant::now();
     let store = match &config.capacities {
         None => AtomicStore::with_kind(config.bins, config.store),
         Some(caps) => AtomicStore::with_kind_capacities(config.bins, caps, config.store),
     };
-    let slots: Vec<OnceLock<Placement>> = (0..schedule.timings.len())
-        .map(|_| OnceLock::new())
-        .collect();
+    let ledger = PlacementLedger::new(schedule.timings.len(), config.k);
     let pipeline = LockFreePipeline {
         store: &store,
-        probes: &config.probes,
-        n: config.bins,
         schedule,
-        slots: &slots,
-        k: config.k,
-        d: config.d,
+        ledger: &ledger,
         config,
     };
-
     let ticks = config.traffic.ticks as usize;
     let mut series: Vec<TickSample> = Vec::with_capacity(ticks / config.sample_every as usize + 2);
+    let setup_secs = setup.elapsed().as_secs_f64();
 
     let start = Instant::now();
-    if config.threads == 1 {
-        let mut probes = Vec::new();
-        let mut scratch = PlaceScratch::new();
-        for t in 0..ticks {
-            pipeline.release_slice(t, 1, 0);
-            pipeline.commit(schedule.commit_ranges[t], &mut probes, &mut scratch);
-            if want_sample(t, config.sample_every, ticks) {
-                series.push(sample(&store, t as u32));
-            }
-        }
-    } else {
-        let barrier = Barrier::new(config.threads + 1);
-        std::thread::scope(|scope| {
-            for w in 0..config.threads {
-                let pipeline = &pipeline;
-                let barrier = &barrier;
-                let workers = config.threads;
-                scope.spawn(move || {
-                    let mut probes = Vec::new();
-                    let mut scratch = PlaceScratch::new();
-                    for t in 0..ticks {
-                        barrier.wait();
-                        pipeline.release_slice(t, workers, w);
-                        barrier.wait();
-                        let range = worker_slice(pipeline.schedule.commit_ranges[t], workers, w);
-                        pipeline.commit(range, &mut probes, &mut scratch);
-                        barrier.wait();
-                    }
-                });
-            }
-            for t in 0..ticks {
-                barrier.wait(); // workers release tick t's departures
-                barrier.wait(); // workers commit tick t's requests
-                barrier.wait(); // tick t fully applied
-                if want_sample(t, config.sample_every, ticks) {
-                    // Workers are parked at the next tick's first
-                    // barrier (or done): the counters are quiescent.
-                    series.push(sample(&store, t as u32));
-                }
-            }
-        });
-    }
+    let workers = config.threads;
+    run_ticks(
+        workers,
+        ticks,
+        config.sample_every,
+        |t, w, scratch| pipeline.release_slice(t, workers, w, scratch),
+        |t, w, scratch| pipeline.commit_slice(t, workers, w, scratch),
+        |t| series.push(sample(&store, t)),
+    );
     let wall_secs = start.elapsed().as_secs_f64();
 
     DriveOutcome {
         series,
+        setup_secs,
         wall_secs,
         live_balls: store.total_balls(),
         final_histogram: store.histogram(),

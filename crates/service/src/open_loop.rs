@@ -97,6 +97,7 @@ impl Scenario for OpenLoopScenario {
             ("util_gap", Value::F64(record.final_util_gap)),
             ("steady_gap", Value::F64(record.steady_gap_mean)),
             ("balls_per_sec", Value::F64(record.balls_per_sec)),
+            ("setup_secs", Value::F64(record.setup_secs)),
             ("conserved", Value::Bool(record.conserved)),
         ]
     }
@@ -165,6 +166,10 @@ impl Scenario for OpenLoopScenario {
         let bins = params.get_usize("n", 1 << 12)?;
         if bins == 0 {
             return Err(params.bad_value("n", "at least one bin"));
+        }
+        if bins >= u32::MAX as usize {
+            // The placement ledger stores bin ids in 32 bits.
+            return Err(params.bad_value("n", "fewer than 2^32 - 1 bins"));
         }
         let k = params.get_usize("k", 2)?;
         let d = params.get_usize("d", 4)?;
@@ -344,6 +349,8 @@ mod tests {
             "d=1 k=2",
             "shards=3",
             "n=0",
+            "n=4294967295",
+            "n=2^40",
             "skew=psychic",
             "s=-1",
             "caps=lumpy",

@@ -11,23 +11,48 @@
 //! and *how fast* the wall clock can chew through the virtual clock,
 //! which is what the λ×threads throughput sweep measures.
 //!
-//! ## The 3-phase tick barrier
+//! ## The tick loop
 //!
-//! With `threads > 1`, [`run_open_loop`] spawns persistent workers that
-//! all walk the tick sequence in lockstep, separated by a shared
-//! [`Barrier`] crossed **three times per tick**:
+//! The striped and lock-free drivers run every tick on `threads`
+//! workers that walk the tick sequence in lockstep. The **calling
+//! thread is worker 0**: it runs its own slices like any other worker,
+//! so `threads = t` costs `t` OS threads (`t − 1` spawned), and
+//! `threads = 1` is the same loop over a one-party [`Barrier`]. Each
+//! tick crosses the barrier two or three times:
 //!
 //! 1. **Releases** — each worker releases its contiguous slice of the
 //!    tick's departures. Departures must free load *before* the tick's
 //!    commits probe it, or a commit could observe balls that the
-//!    schedule says are already gone.
+//!    schedule says are already gone. *Barrier.*
 //! 2. **Commits** — each worker commits its slice of the tick's
 //!    committed-request id range (per-request RNGs derived from
 //!    `(seed, id)`, so slicing cannot change any request's probes or tie
-//!    keys).
-//! 3. **Quiescent sample** — every worker is parked at the next
-//!    barrier, so the coordinator can snapshot the store (live balls,
-//!    max load, gap) for the time series without racing any commit.
+//!    keys). *Barrier.*
+//! 3. **Quiescent sample** (sampled ticks only) — every other worker is
+//!    parked at the third barrier, so worker 0 snapshots the store (live
+//!    balls, max load, gap) for the time series without racing any
+//!    commit or release. *Barrier*, which holds the next tick's releases
+//!    back until the sample is taken. Unsampled ticks skip it: the
+//!    second barrier already orders their commits before the next
+//!    tick's releases.
+//!
+//! ## The placement ledger
+//!
+//! A departure must free exactly the bins its request's balls went to.
+//! `PlacementLedger` keeps them: `k` `AtomicU32` per request id, each
+//! holding `bin + 1` (`0` = not committed), allocated once per run — no
+//! per-request heap object. `record` swaps the bins in and asserts the
+//! slots were empty (a double commit panics); `recall_into` asserts they
+//! were filled (a departure before its commit panics).
+//!
+//! Both use `Relaxed` ordering. That suffices because a request's
+//! departure tick is always later than its commit tick (lifetimes are at
+//! least one tick), and every tick boundary is a barrier crossing — the
+//! [`Barrier`] here, or the shared-nothing driver's rendezvous plus
+//! barrier. A barrier crossing makes every write before it happen-before
+//! every read after it, so the worker that recalls a request sees the
+//! bins the committing worker recorded, whichever threads they were.
+//! Bin ids are stored in 32 bits, so runs need `bins < u32::MAX`.
 //!
 //! ## Which determinism guarantees survive batching / concurrency
 //!
@@ -42,7 +67,8 @@
 //! `tests/traffic_determinism.rs`; the single-thread bit-identity of
 //! batched vs per-request pipelines by `tests/store_equivalence.rs`.
 
-use std::sync::{Barrier, OnceLock};
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Barrier;
 use std::time::Instant;
 
 use kdchoice_core::{BinStore, ProbeDistribution, StoreKind};
@@ -51,7 +77,7 @@ use kdchoice_stats::Histogram;
 
 use crate::engine::ServiceBackend;
 use crate::service::prev_power_of_two;
-use crate::sharded::{Placement, ShardedStore};
+use crate::sharded::ShardedStore;
 use crate::traffic::{ArrivalProcess, Lifetime, RequestTiming, TrafficConfig, TrafficSchedule};
 
 /// Seed-stream tag for the traffic generator (see [`derive_seed`]).
@@ -62,14 +88,14 @@ const PLACEMENT_STREAM: u64 = 1;
 /// How the pipeline turns committed requests into store operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PipelineMode {
-    /// One `place_k_least` / `release` call per request: the PR 3 lock
-    /// choreography, up to `min(d, shards)` lock acquisitions per
-    /// request.
+    /// One lock round per request — a batch of one, exactly what
+    /// [`ShardedStore::place_k_least`] runs — and one `release` call per
+    /// departure: up to `min(d, shards)` lock acquisitions per request.
     PerRequest,
     /// Requests are grouped into batches of up to
     /// [`OpenLoopConfig::max_batch`]; each batch commits through
-    /// [`ShardedStore::place_batch`] (one lock acquisition per involved
-    /// shard per batch) and departures release through one bulk
+    /// [`ShardedStore::place_batch_into`] (one lock acquisition per
+    /// involved shard per batch) and departures release through one bulk
     /// `release` call per batch.
     Batched,
 }
@@ -260,9 +286,13 @@ pub struct OpenLoopReport {
     /// Mean gap over the second half of the run — the steady-state
     /// statistic the O(log log n) regression envelope is asserted on.
     pub steady_gap_mean: f64,
-    /// Wall-clock seconds for the drive loop (schedule generation
-    /// excluded — it is identical across modes and thread counts).
+    /// Wall-clock seconds for the drive loop (schedule generation and
+    /// allocation excluded — see `setup_secs`).
     pub wall_secs: f64,
+    /// Wall-clock seconds before the drive loop: traffic-schedule
+    /// generation plus store and placement-ledger allocation. A caller
+    /// pays `setup_secs + wall_secs`.
+    pub setup_secs: f64,
     /// Balls placed per wall-clock second — the pipeline headline.
     pub balls_per_sec: f64,
     /// Final capacity-normalized gap `max utilization − live_balls /
@@ -294,17 +324,71 @@ pub(crate) fn worker_slice(range: IdRange, workers: usize, w: usize) -> IdRange 
     (lo as u32, hi as u32)
 }
 
+/// Where every committed request's balls went: `k` bin ids per request
+/// id, each stored as `bin + 1` so `0` reads "not committed". See the
+/// module docs for why `Relaxed` ordering suffices.
+#[derive(Debug)]
+pub(crate) struct PlacementLedger {
+    k: usize,
+    slots: Vec<AtomicU32>,
+}
+
+impl PlacementLedger {
+    /// An empty ledger for request ids `0..requests`, `k` balls each.
+    pub(crate) fn new(requests: usize, k: usize) -> Self {
+        Self {
+            k,
+            slots: (0..requests * k).map(|_| AtomicU32::new(0)).collect(),
+        }
+    }
+
+    fn entry(&self, id: u32) -> &[AtomicU32] {
+        &self.slots[id as usize * self.k..][..self.k]
+    }
+
+    /// Records request `id`'s `k` winner bins.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bins.len() != k` or `id` was already recorded.
+    pub(crate) fn record(&self, id: u32, bins: &[usize]) {
+        assert_eq!(bins.len(), self.k, "request {id} placed a wrong ball count");
+        for (slot, &bin) in self.entry(id).iter().zip(bins) {
+            let previous = slot.swap(bin as u32 + 1, Ordering::Relaxed);
+            assert_eq!(previous, 0, "request {id} committed twice");
+        }
+    }
+
+    /// Appends request `id`'s recorded bins to `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` was never recorded (a departure before its commit).
+    pub(crate) fn recall_into(&self, id: u32, out: &mut Vec<usize>) {
+        for slot in self.entry(id) {
+            let stored = slot.load(Ordering::Relaxed);
+            assert_ne!(stored, 0, "departure of request {id} precedes its commit");
+            out.push(stored as usize - 1);
+        }
+    }
+}
+
+/// One worker's reusable buffers for the striped pipeline: probes,
+/// per-request RNGs and winner / departing bins.
+type StripedScratch = (Vec<usize>, Vec<Xoshiro256PlusPlus>, Vec<usize>);
+
 /// Everything a worker needs, shared read-only across threads.
 struct Pipeline<'a> {
     store: &'a ShardedStore,
     probes: &'a ProbeDistribution,
     n: usize,
     schedule: &'a TrafficSchedule,
-    slots: &'a [OnceLock<Placement>],
+    ledger: &'a PlacementLedger,
     k: usize,
     d: usize,
-    mode: PipelineMode,
-    max_batch: usize,
+    /// Requests per lock round: `max_batch` in [`PipelineMode::Batched`],
+    /// `1` in [`PipelineMode::PerRequest`].
+    batch: usize,
     place_base: u64,
 }
 
@@ -314,72 +398,91 @@ impl Pipeline<'_> {
         Xoshiro256PlusPlus::from_u64(derive_seed(self.place_base, u64::from(id)))
     }
 
-    /// Commits the requests in `[range.0, range.1)` in id order.
-    fn commit(&self, range: IdRange, probes: &mut Vec<usize>, rngs: &mut Vec<Xoshiro256PlusPlus>) {
-        match self.mode {
-            PipelineMode::PerRequest => {
-                for id in range.0..range.1 {
-                    let mut rng = self.request_rng(id);
-                    probes.clear();
-                    probes.extend((0..self.d).map(|_| self.probes.sample(&mut rng, self.n)));
-                    let placement = self.store.place_k_least(probes, self.k, &mut rng);
-                    assert!(self.slots[id as usize].set(placement).is_ok());
-                }
+    /// Commits worker `w`'s share of tick `t`'s requests in id order,
+    /// `batch` requests per [`ShardedStore::place_batch_into`] call.
+    fn commit_slice(&self, t: usize, workers: usize, w: usize, scratch: &mut StripedScratch) {
+        let (probes, rngs, bins) = scratch;
+        let range = worker_slice(self.schedule.commit_ranges[t], workers, w);
+        let mut start = range.0;
+        while start < range.1 {
+            let end = range.1.min(start + self.batch as u32);
+            rngs.clear();
+            probes.clear();
+            for id in start..end {
+                let mut rng = self.request_rng(id);
+                probes.extend((0..self.d).map(|_| self.probes.sample(&mut rng, self.n)));
+                rngs.push(rng);
             }
-            PipelineMode::Batched => {
-                let mut start = range.0;
-                while start < range.1 {
-                    let end = range.1.min(start + self.max_batch as u32);
-                    rngs.clear();
-                    probes.clear();
-                    for id in start..end {
-                        let mut rng = self.request_rng(id);
-                        probes.extend((0..self.d).map(|_| self.probes.sample(&mut rng, self.n)));
-                        rngs.push(rng);
-                    }
-                    let placements = self.store.place_batch(probes, self.d, self.k, rngs);
-                    for (id, placement) in (start..end).zip(placements) {
-                        assert!(self.slots[id as usize].set(placement).is_ok());
-                    }
-                    start = end;
-                }
+            bins.clear();
+            self.store
+                .place_batch_into(probes, self.d, self.k, rngs, bins);
+            for (id, placed) in (start..end).zip(bins.chunks_exact(self.k)) {
+                self.ledger.record(id, placed);
             }
+            start = end;
         }
     }
 
-    /// Releases the departures in `ids[range]` (indices into the tick's
-    /// departure list).
-    fn release(&self, ids: &[u32], bins: &mut Vec<usize>) {
-        match self.mode {
-            PipelineMode::PerRequest => {
-                for &id in ids {
-                    let placement = self.slots[id as usize]
-                        .get()
-                        .expect("departure precedes commit");
-                    self.store.release(&placement.bins);
-                }
-            }
-            PipelineMode::Batched => {
-                for batch in ids.chunks(self.max_batch) {
-                    bins.clear();
-                    for &id in batch {
-                        let placement = self.slots[id as usize]
-                            .get()
-                            .expect("departure precedes commit");
-                        bins.extend_from_slice(&placement.bins);
-                    }
-                    self.store.release(bins);
-                }
-            }
-        }
-    }
-
-    /// One worker's share of one tick's departures (`bins` is scratch).
-    fn release_slice(&self, tick: usize, workers: usize, w: usize, bins: &mut Vec<usize>) {
-        let departures = &self.schedule.departures[tick];
+    /// Releases worker `w`'s share of tick `t`'s departures, `batch`
+    /// requests per `release` call.
+    fn release_slice(&self, t: usize, workers: usize, w: usize, scratch: &mut StripedScratch) {
+        let bins = &mut scratch.2;
+        let departures = &self.schedule.departures[t];
         let (lo, hi) = worker_slice((0, departures.len() as u32), workers, w);
-        self.release(&departures[lo as usize..hi as usize], bins);
+        for batch in departures[lo as usize..hi as usize].chunks(self.batch) {
+            bins.clear();
+            for &id in batch {
+                self.ledger.recall_into(id, bins);
+            }
+            self.store.release(bins);
+        }
     }
+}
+
+/// Runs `ticks` ticks on `threads` workers under the tick barrier (see
+/// the module docs): worker `w` calls `release(t, w, scratch)`, then
+/// `commit(t, w, scratch)`, with a barrier crossing after each; on
+/// sampled ticks the calling thread — worker 0 — then calls
+/// `sample(t)` while every other worker waits at a third crossing.
+/// Each worker owns one `S::default()` scratch for the whole run.
+pub(crate) fn run_ticks<S: Default>(
+    threads: usize,
+    ticks: usize,
+    sample_every: u32,
+    release: impl Fn(usize, usize, &mut S) + Sync,
+    commit: impl Fn(usize, usize, &mut S) + Sync,
+    mut sample: impl FnMut(u32),
+) {
+    let barrier = Barrier::new(threads);
+    let tick = |t: usize, w: usize, scratch: &mut S| {
+        release(t, w, scratch);
+        barrier.wait();
+        commit(t, w, scratch);
+        barrier.wait();
+        want_sample(t, sample_every, ticks)
+    };
+    std::thread::scope(|scope| {
+        for w in 1..threads {
+            let (tick, barrier) = (&tick, &barrier);
+            scope.spawn(move || {
+                let mut scratch = S::default();
+                for t in 0..ticks {
+                    if tick(t, w, &mut scratch) {
+                        barrier.wait(); // worker 0 samples tick t
+                    }
+                }
+            });
+        }
+        let mut scratch = S::default();
+        for t in 0..ticks {
+            if tick(t, 0, &mut scratch) {
+                // Every other worker is parked at the barrier below, so
+                // the store is quiescent.
+                sample(t as u32);
+                barrier.wait();
+            }
+        }
+    });
 }
 
 /// Whether tick `t` of `ticks` is sampled into the time series.
@@ -388,11 +491,12 @@ pub(crate) fn want_sample(t: usize, sample_every: u32, ticks: usize) -> bool {
 }
 
 /// What a backend driver hands back to [`run_open_loop`]: the sampled
-/// series, the wall time of the drive loop, and the merged end-of-run
-/// store observables (every latency/backlog quantity is a schedule
-/// property and is accounted centrally).
+/// series, the wall time of its allocation and of its drive loop, and
+/// the merged end-of-run store observables (every latency/backlog
+/// quantity is a schedule property and is accounted centrally).
 pub(crate) struct DriveOutcome {
     pub(crate) series: Vec<TickSample>,
+    pub(crate) setup_secs: f64,
     pub(crate) wall_secs: f64,
     pub(crate) live_balls: u64,
     pub(crate) final_histogram: Vec<u64>,
@@ -440,103 +544,74 @@ pub fn run_open_loop(config: &OpenLoopConfig) -> OpenLoopReport {
     assert!(config.max_batch >= 1, "max_batch must be at least 1");
     assert!(config.sample_every >= 1, "sample_every must be at least 1");
     assert!(config.k >= 1 && config.k <= config.d, "need 1 <= k <= d");
+    assert!(
+        config.bins < u32::MAX as usize,
+        "the placement ledger stores bin ids in 32 bits: need bins < u32::MAX"
+    );
     if let Some(probes_n) = config.probes.expected_n() {
         assert_eq!(
             probes_n, config.bins,
             "probe distribution built for wrong bin count"
         );
     }
+    let start = Instant::now();
     let schedule = TrafficSchedule::generate(&config.traffic, config.traffic_seed())
         .unwrap_or_else(|e| panic!("invalid open-loop config: {e}"));
+    let schedule_secs = start.elapsed().as_secs_f64();
 
-    let outcome = match config.backend {
+    let mut outcome = match config.backend {
         ServiceBackend::Striped => drive_striped(config, &schedule),
         ServiceBackend::SharedNothing => crate::engine::drive_open_loop_owned(config, &schedule),
         ServiceBackend::LockFree => crate::lockfree::drive_open_loop_lockfree(config, &schedule),
     };
+    outcome.setup_secs += schedule_secs;
     assemble_report(config, &schedule, outcome)
 }
 
 /// Drives the schedule through the lock-striped [`ShardedStore`] (the
-/// original backend): single-thread inline, or persistent workers under
-/// the 3-phase tick barrier.
+/// original backend) under the tick loop of [`run_ticks`].
 fn drive_striped(config: &OpenLoopConfig, schedule: &TrafficSchedule) -> DriveOutcome {
+    let setup = Instant::now();
     let store = match &config.capacities {
         None => ShardedStore::with_kind(config.bins, config.shards, config.store),
         Some(caps) => {
             ShardedStore::with_kind_capacities(config.bins, config.shards, caps, config.store)
         }
     };
-    let slots: Vec<OnceLock<Placement>> = (0..schedule.timings.len())
-        .map(|_| OnceLock::new())
-        .collect();
+    let ledger = PlacementLedger::new(schedule.timings.len(), config.k);
     let pipeline = Pipeline {
         store: &store,
         probes: &config.probes,
         n: config.bins,
         schedule,
-        slots: &slots,
+        ledger: &ledger,
         k: config.k,
         d: config.d,
-        mode: config.mode,
-        max_batch: config.max_batch,
+        batch: match config.mode {
+            PipelineMode::PerRequest => 1,
+            PipelineMode::Batched => config.max_batch,
+        },
         place_base: derive_seed(config.seed, PLACEMENT_STREAM),
     };
-
     let ticks = config.traffic.ticks as usize;
     let mut series: Vec<TickSample> = Vec::with_capacity(ticks / config.sample_every as usize + 2);
+    let setup_secs = setup.elapsed().as_secs_f64();
 
     let start = Instant::now();
-    if config.threads == 1 {
-        let mut probes = Vec::new();
-        let mut rngs = Vec::new();
-        for t in 0..ticks {
-            pipeline.release_slice(t, 1, 0, &mut probes);
-            pipeline.commit(schedule.commit_ranges[t], &mut probes, &mut rngs);
-            if want_sample(t, config.sample_every, ticks) {
-                series.push(snapshot(&store, t as u32));
-            }
-        }
-    } else {
-        // Persistent workers with a 3-phase barrier per tick: releases,
-        // then commits (departures must free load before the tick's
-        // placements probe it), then a quiescent window in which the
-        // coordinator samples the time series.
-        let barrier = Barrier::new(config.threads + 1);
-        std::thread::scope(|scope| {
-            for w in 0..config.threads {
-                let pipeline = &pipeline;
-                let barrier = &barrier;
-                let workers = config.threads;
-                scope.spawn(move || {
-                    let mut probes = Vec::new();
-                    let mut rngs = Vec::new();
-                    for t in 0..ticks {
-                        barrier.wait();
-                        pipeline.release_slice(t, workers, w, &mut probes);
-                        barrier.wait();
-                        let range = worker_slice(pipeline.schedule.commit_ranges[t], workers, w);
-                        pipeline.commit(range, &mut probes, &mut rngs);
-                        barrier.wait();
-                    }
-                });
-            }
-            for t in 0..ticks {
-                barrier.wait(); // workers release tick t's departures
-                barrier.wait(); // workers commit tick t's requests
-                barrier.wait(); // tick t fully applied
-                if want_sample(t, config.sample_every, ticks) {
-                    // Workers are parked at the next tick's first barrier
-                    // (or done), so the store is quiescent here.
-                    series.push(snapshot(&store, t as u32));
-                }
-            }
-        });
-    }
+    let workers = config.threads;
+    run_ticks(
+        workers,
+        ticks,
+        config.sample_every,
+        |t, w, scratch| pipeline.release_slice(t, workers, w, scratch),
+        |t, w, scratch| pipeline.commit_slice(t, workers, w, scratch),
+        |t| series.push(snapshot(&store, t)),
+    );
     let wall_secs = start.elapsed().as_secs_f64();
 
     DriveOutcome {
         series,
+        setup_secs,
         wall_secs,
         live_balls: store.total_balls(),
         final_histogram: store.histogram(),
@@ -566,6 +641,7 @@ fn assemble_report(
     let balls_released = released_requests * config.k as u64;
     let DriveOutcome {
         series,
+        setup_secs,
         wall_secs,
         live_balls,
         final_histogram,
@@ -605,6 +681,7 @@ fn assemble_report(
         total_capacity,
         steady_gap_mean,
         wall_secs,
+        setup_secs,
         balls_per_sec: balls_placed as f64 / wall_secs,
         conserved,
         final_histogram,
@@ -752,6 +829,56 @@ mod tests {
         let mut cfg = small_config(PipelineMode::Batched, 1, 0.5);
         cfg.probes = ProbeDistribution::zipf(cfg.bins + 1, 1.0).unwrap();
         let _ = run_open_loop(&cfg);
+    }
+
+    #[test]
+    fn ledger_round_trips_each_request() {
+        let ledger = PlacementLedger::new(3, 2);
+        ledger.record(2, &[7, 0]);
+        ledger.record(0, &[5, 5]);
+        let mut out = vec![99];
+        ledger.recall_into(2, &mut out);
+        ledger.recall_into(0, &mut out);
+        assert_eq!(out, vec![99, 7, 0, 5, 5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "committed twice")]
+    fn ledger_rejects_a_double_commit() {
+        let ledger = PlacementLedger::new(2, 2);
+        ledger.record(1, &[3, 4]);
+        ledger.record(1, &[3, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "precedes its commit")]
+    fn ledger_rejects_a_departure_before_its_commit() {
+        let ledger = PlacementLedger::new(2, 2);
+        ledger.record(0, &[3, 4]);
+        ledger.recall_into(1, &mut Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "32 bits")]
+    fn oversized_bin_count_is_rejected_before_allocating() {
+        let mut cfg = small_config(PipelineMode::Batched, 1, 0.5);
+        cfg.bins = u32::MAX as usize;
+        let _ = run_open_loop(&cfg);
+    }
+
+    #[test]
+    fn setup_time_is_reported_apart_from_the_drive_loop() {
+        for backend in [
+            ServiceBackend::Striped,
+            ServiceBackend::SharedNothing,
+            ServiceBackend::LockFree,
+        ] {
+            let mut cfg = small_config(PipelineMode::Batched, 1, 0.9);
+            cfg.backend = backend;
+            let report = run_open_loop(&cfg);
+            assert!(report.setup_secs > 0.0, "{backend:?}");
+            assert!(report.setup_secs.is_finite() && report.wall_secs > 0.0);
+        }
     }
 
     #[test]

@@ -235,6 +235,25 @@ impl ShardedStore {
         (local << self.bits) | shard
     }
 
+    /// The shards holding `bins`, ascending and deduplicated — the lock
+    /// set of a request or batch in canonical order. Up to 64 shards it
+    /// is a bit mask, not a sort of one shard id per bin.
+    fn shard_union(&self, bins: &[usize]) -> Vec<usize> {
+        if self.shards.len() <= 64 {
+            let mut mask = bins.iter().fold(0u64, |m, &b| m | 1 << self.shard_of(b));
+            let mut shard_ids = Vec::with_capacity(mask.count_ones() as usize);
+            while mask != 0 {
+                shard_ids.push(mask.trailing_zeros() as usize);
+                mask &= mask - 1;
+            }
+            return shard_ids;
+        }
+        let mut shard_ids: Vec<usize> = bins.iter().map(|&b| self.shard_of(b)).collect();
+        shard_ids.sort_unstable();
+        shard_ids.dedup();
+        shard_ids
+    }
+
     /// Locks the given shard ids (must be sorted ascending and deduped —
     /// the canonical order that makes concurrent requests deadlock-free)
     /// and returns the guards in the same order.
@@ -256,7 +275,8 @@ impl ShardedStore {
     /// All shards the probes touch are locked (ascending shard order)
     /// before any load is read and released only after every ball is
     /// committed, so the decision and the commit are one atomic step
-    /// relative to concurrent requests.
+    /// relative to concurrent requests. This is a batch of one through
+    /// [`ShardedStore::place_batch_into`].
     ///
     /// # Panics
     ///
@@ -268,58 +288,16 @@ impl ShardedStore {
         k: usize,
         rng: &mut R,
     ) -> Placement {
-        assert!(k >= 1, "a placement request must place at least one ball");
-        assert!(
-            k <= probes.len(),
-            "cannot place {k} balls on {} probed slots",
-            probes.len()
-        );
-        assert!(
-            probes.iter().all(|&b| b < self.n),
-            "probe out of range (n = {})",
-            self.n
-        );
-        let mut sorted = probes.to_vec();
-        sorted.sort_unstable();
-        let mut shard_ids: Vec<usize> = sorted.iter().map(|&b| self.shard_of(b)).collect();
-        shard_ids.sort_unstable();
-        shard_ids.dedup();
-        let mut guards = self.lock_in_order(&shard_ids);
-        let mut slots = Vec::with_capacity(sorted.len());
-        self.serve_on_guards(&mut guards, &shard_ids, &sorted, k, rng, &mut slots)
-    }
-
-    /// The read–decide–commit step shared by [`ShardedStore::place_k_least`]
-    /// and [`ShardedStore::place_batch`]: `sorted_probes` are the request's
-    /// probes in ascending order, `guards` hold (at least) every shard they
-    /// touch, keyed by the sorted `shard_ids`. The decision is the shared
-    /// [`decide_k_least`] kernel over the held guards; `slots` is its
-    /// scratch.
-    fn serve_on_guards<R: RngCore + ?Sized>(
-        &self,
-        guards: &mut [MutexGuard<'_, BinSlab>],
-        shard_ids: &[usize],
-        sorted_probes: &[usize],
-        k: usize,
-        rng: &mut R,
-        slots: &mut Vec<(u32, u64, usize)>,
-    ) -> Placement {
         let mut bins = Vec::with_capacity(k);
-        let view = GuardView {
-            store: self,
-            guards,
-            shard_ids,
-        };
-        decide_k_least(&view, sorted_probes, k, rng, slots, &mut bins);
-
-        // Commit the k winners while still holding every involved lock.
-        // The height comes from the commit, so a sketch shard reports
-        // what it stored, not the estimate it decided on.
-        let mut max_height = 0u32;
-        for &bin in &bins {
-            let height = guards[self.guard_of(shard_ids, bin)].add_ball(self.local_of(bin));
-            max_height = max_height.max(height);
-        }
+        let mut max_height = 0;
+        self.place_batch_each(
+            probes,
+            probes.len(),
+            k,
+            std::slice::from_mut(&mut &mut *rng),
+            &mut bins,
+            |height| max_height = height,
+        );
         Placement { bins, max_height }
     }
 
@@ -347,6 +325,9 @@ impl ShardedStore {
     /// choreography: `batch · min(d, shards)` acquisitions collapse into
     /// at most `shards`.
     ///
+    /// Returns one owned [`Placement`] per request; hot loops that only
+    /// need the winner bins use [`ShardedStore::place_batch_into`].
+    ///
     /// # Panics
     ///
     /// Panics if `k == 0`, `k > d`, `probes.len() != rngs.len() * d`, or
@@ -358,6 +339,51 @@ impl ShardedStore {
         k: usize,
         rngs: &mut [R],
     ) -> Vec<Placement> {
+        let mut bins = Vec::with_capacity(rngs.len() * k);
+        let mut heights = Vec::with_capacity(rngs.len());
+        self.place_batch_each(probes, d, k, rngs, &mut bins, |h| heights.push(h));
+        bins.chunks_exact(k)
+            .zip(heights)
+            .map(|(bins, max_height)| Placement {
+                bins: bins.to_vec(),
+                max_height,
+            })
+            .collect()
+    }
+
+    /// [`ShardedStore::place_batch`] without the per-request
+    /// [`Placement`]s: request `i`'s `k` winner bins are appended to `out`
+    /// at `out[start + i*k..start + (i+1)*k]`, in the order the decision
+    /// kernel reports them. Same locking, decisions and RNG consumption.
+    ///
+    /// # Panics
+    ///
+    /// As [`ShardedStore::place_batch`].
+    pub fn place_batch_into<R: RngCore>(
+        &self,
+        probes: &[usize],
+        d: usize,
+        k: usize,
+        rngs: &mut [R],
+        out: &mut Vec<usize>,
+    ) {
+        self.place_batch_each(probes, d, k, rngs, out, |_| {});
+    }
+
+    /// The batch engine behind every placement entry point: locks the
+    /// batch's shard union, then runs each request's read–decide–commit
+    /// step in order under the held locks — the shared
+    /// [`decide_k_least`] kernel over the guards, the winners appended
+    /// to `out`, the tallest committed height reported to `on_placed`.
+    fn place_batch_each<R: RngCore>(
+        &self,
+        probes: &[usize],
+        d: usize,
+        k: usize,
+        rngs: &mut [R],
+        out: &mut Vec<usize>,
+        mut on_placed: impl FnMut(u32),
+    ) {
         assert!(k >= 1, "a placement request must place at least one ball");
         assert!(k <= d, "cannot place {k} balls on {d} probed slots");
         assert_eq!(
@@ -371,24 +397,35 @@ impl ShardedStore {
             self.n
         );
         if rngs.is_empty() {
-            return Vec::new();
+            return;
         }
-        let mut shard_ids: Vec<usize> = probes.iter().map(|&b| self.shard_of(b)).collect();
-        shard_ids.sort_unstable();
-        shard_ids.dedup();
+        let shard_ids = self.shard_union(probes);
         let mut guards = self.lock_in_order(&shard_ids);
 
         let mut sorted = Vec::with_capacity(d);
         let mut slots = Vec::with_capacity(d);
-        rngs.iter_mut()
-            .enumerate()
-            .map(|(i, rng)| {
-                sorted.clear();
-                sorted.extend_from_slice(&probes[i * d..(i + 1) * d]);
-                sorted.sort_unstable();
-                self.serve_on_guards(&mut guards, &shard_ids, &sorted, k, rng, &mut slots)
-            })
-            .collect()
+        for (request, rng) in probes.chunks_exact(d).zip(rngs) {
+            sorted.clear();
+            sorted.extend_from_slice(request);
+            sorted.sort_unstable();
+            let start = out.len();
+            let view = GuardView {
+                store: self,
+                guards: &guards,
+                shard_ids: &shard_ids,
+            };
+            decide_k_least(&view, &sorted, k, rng, &mut slots, out);
+
+            // Commit the k winners while still holding every involved
+            // lock. The height comes from the commit, so a sketch shard
+            // reports what it stored, not the estimate it decided on.
+            let mut max_height = 0u32;
+            for &bin in &out[start..] {
+                let height = guards[self.guard_of(&shard_ids, bin)].add_ball(self.local_of(bin));
+                max_height = max_height.max(height);
+            }
+            on_placed(max_height);
+        }
     }
 
     /// Serves a release request: removes one ball from every bin in
@@ -405,9 +442,7 @@ impl ShardedStore {
             "release out of range (n = {})",
             self.n
         );
-        let mut shard_ids: Vec<usize> = bins.iter().map(|&b| self.shard_of(b)).collect();
-        shard_ids.sort_unstable();
-        shard_ids.dedup();
+        let shard_ids = self.shard_union(bins);
         let mut guards = self.lock_in_order(&shard_ids);
         for &bin in bins {
             guards[self.guard_of(&shard_ids, bin)].remove_ball(self.local_of(bin));

@@ -20,7 +20,9 @@
 use std::fmt::Write as _;
 
 use kdchoice_core::StoreKind;
-use kdchoice_service::{run_open_loop, OpenLoopConfig, OpenLoopReport, PipelineMode, ServiceBackend};
+use kdchoice_service::{
+    run_open_loop, OpenLoopConfig, OpenLoopReport, PipelineMode, ServiceBackend,
+};
 
 const FIXTURE: &str = "tests/fixtures/open_loop_golden.txt";
 const BINS: usize = 1 << 10;
@@ -29,11 +31,36 @@ const SEED: u64 = 0x601D_E4C0_FFEE;
 
 /// `(label, backend, mode, snapshot_refresh)` for every driver shape.
 const DRIVERS: [(&str, ServiceBackend, PipelineMode, usize); 5] = [
-    ("striped/batched", ServiceBackend::Striped, PipelineMode::Batched, 1),
-    ("striped/per_request", ServiceBackend::Striped, PipelineMode::PerRequest, 1),
-    ("shared_nothing/refresh1", ServiceBackend::SharedNothing, PipelineMode::Batched, 1),
-    ("shared_nothing/refresh64", ServiceBackend::SharedNothing, PipelineMode::Batched, 64),
-    ("lockfree", ServiceBackend::LockFree, PipelineMode::Batched, 1),
+    (
+        "striped/batched",
+        ServiceBackend::Striped,
+        PipelineMode::Batched,
+        1,
+    ),
+    (
+        "striped/per_request",
+        ServiceBackend::Striped,
+        PipelineMode::PerRequest,
+        1,
+    ),
+    (
+        "shared_nothing/refresh1",
+        ServiceBackend::SharedNothing,
+        PipelineMode::Batched,
+        1,
+    ),
+    (
+        "shared_nothing/refresh64",
+        ServiceBackend::SharedNothing,
+        PipelineMode::Batched,
+        64,
+    ),
+    (
+        "lockfree",
+        ServiceBackend::LockFree,
+        PipelineMode::Batched,
+        1,
+    ),
 ];
 const STORES: [StoreKind; 2] = [StoreKind::Exact, StoreKind::Packed4];
 const LAMBDAS: [f64; 2] = [0.9, 1.3];
