@@ -236,21 +236,22 @@ impl ShardedStore {
     }
 
     /// The shards holding `bins`, ascending and deduplicated — the lock
-    /// set of a request or batch in canonical order. Up to 64 shards it
-    /// is a bit mask, not a sort of one shard id per bin.
+    /// set of a request or batch in canonical order — read off a bit set
+    /// of shard ids instead of sorting one shard id per bin.
     fn shard_union(&self, bins: &[usize]) -> Vec<usize> {
-        if self.shards.len() <= 64 {
-            let mut mask = bins.iter().fold(0u64, |m, &b| m | 1 << self.shard_of(b));
-            let mut shard_ids = Vec::with_capacity(mask.count_ones() as usize);
-            while mask != 0 {
-                shard_ids.push(mask.trailing_zeros() as usize);
-                mask &= mask - 1;
-            }
-            return shard_ids;
+        let mut words = vec![0u64; self.shards.len().div_ceil(64)];
+        for &bin in bins {
+            let shard = self.shard_of(bin);
+            words[shard / 64] |= 1 << (shard % 64);
         }
-        let mut shard_ids: Vec<usize> = bins.iter().map(|&b| self.shard_of(b)).collect();
-        shard_ids.sort_unstable();
-        shard_ids.dedup();
+        let mut shard_ids = Vec::new();
+        for (i, &word) in words.iter().enumerate() {
+            let mut rest = word;
+            while rest != 0 {
+                shard_ids.push(i * 64 + rest.trailing_zeros() as usize);
+                rest &= rest - 1;
+            }
+        }
         shard_ids
     }
 
@@ -747,20 +748,23 @@ mod tests {
 
     #[test]
     fn release_undoes_place() {
-        let store = ShardedStore::new(16, 4);
-        let mut rng = Xoshiro256PlusPlus::from_u64(2);
-        let mut placements = Vec::new();
-        for _ in 0..50 {
-            let probes: Vec<usize> = (0..4).map(|_| rng.next_u64() as usize % 16).collect();
-            placements.push(store.place_k_least(&probes, 2, &mut rng));
+        // 128 shards take lock sets spanning more than one 64-bit word.
+        for (n, shards) in [(16, 4), (300, 128)] {
+            let store = ShardedStore::new(n, shards);
+            let mut rng = Xoshiro256PlusPlus::from_u64(2);
+            let mut placements = Vec::new();
+            for _ in 0..50 {
+                let probes: Vec<usize> = (0..4).map(|_| rng.next_u64() as usize % n).collect();
+                placements.push(store.place_k_least(&probes, 2, &mut rng));
+            }
+            assert_eq!(store.total_balls(), 100);
+            for p in &placements {
+                store.release(&p.bins);
+            }
+            assert_eq!(store.total_balls(), 0);
+            assert_eq!(store.max_load(), 0);
+            assert!(store.check_invariants());
         }
-        assert_eq!(store.total_balls(), 100);
-        for p in &placements {
-            store.release(&p.bins);
-        }
-        assert_eq!(store.total_balls(), 0);
-        assert_eq!(store.max_load(), 0);
-        assert!(store.check_invariants());
     }
 
     #[test]
