@@ -237,14 +237,23 @@ impl ShardedStore {
 
     /// The shards holding `bins`, ascending and deduplicated — the lock
     /// set of a request or batch in canonical order — read off a bit set
-    /// of shard ids instead of sorting one shard id per bin.
+    /// of shard ids instead of sorting one shard id per bin. The bit set
+    /// lives on the stack up to 256 shards.
     fn shard_union(&self, bins: &[usize]) -> Vec<usize> {
-        let mut words = vec![0u64; self.shards.len().div_ceil(64)];
+        let (mut inline, mut heap) = ([0u64; 4], Vec::new());
+        let len = self.shards.len().div_ceil(64);
+        let words: &mut [u64] = if len <= inline.len() {
+            &mut inline[..len]
+        } else {
+            heap.resize(len, 0);
+            &mut heap
+        };
         for &bin in bins {
             let shard = self.shard_of(bin);
             words[shard / 64] |= 1 << (shard % 64);
         }
-        let mut shard_ids = Vec::new();
+        let count = words.iter().map(|w| w.count_ones() as usize).sum();
+        let mut shard_ids = Vec::with_capacity(count);
         for (i, &word) in words.iter().enumerate() {
             let mut rest = word;
             while rest != 0 {
@@ -748,8 +757,9 @@ mod tests {
 
     #[test]
     fn release_undoes_place() {
-        // 128 shards take lock sets spanning more than one 64-bit word.
-        for (n, shards) in [(16, 4), (300, 128)] {
+        // 128 and 512 shards take lock sets spanning more than one
+        // 64-bit word, 512 past the on-stack bit set.
+        for (n, shards) in [(16, 4), (300, 128), (600, 512)] {
             let store = ShardedStore::new(n, shards);
             let mut rng = Xoshiro256PlusPlus::from_u64(2);
             let mut placements = Vec::new();
