@@ -380,12 +380,9 @@ type StripedScratch = (Vec<usize>, Vec<Xoshiro256PlusPlus>, Vec<usize>);
 /// Everything a worker needs, shared read-only across threads.
 struct Pipeline<'a> {
     store: &'a ShardedStore,
-    probes: &'a ProbeDistribution,
-    n: usize,
     schedule: &'a TrafficSchedule,
     ledger: &'a PlacementLedger,
-    k: usize,
-    d: usize,
+    config: &'a OpenLoopConfig,
     /// Requests per lock round: `max_batch` in [`PipelineMode::Batched`],
     /// `1` in [`PipelineMode::PerRequest`].
     batch: usize,
@@ -402,6 +399,7 @@ impl Pipeline<'_> {
     /// `batch` requests per [`ShardedStore::place_batch_into`] call.
     fn commit_slice(&self, t: usize, workers: usize, w: usize, scratch: &mut StripedScratch) {
         let (probes, rngs, bins) = scratch;
+        let config = self.config;
         let range = worker_slice(self.schedule.commit_ranges[t], workers, w);
         let mut start = range.0;
         while start < range.1 {
@@ -410,13 +408,13 @@ impl Pipeline<'_> {
             probes.clear();
             for id in start..end {
                 let mut rng = self.request_rng(id);
-                probes.extend((0..self.d).map(|_| self.probes.sample(&mut rng, self.n)));
+                probes.extend((0..config.d).map(|_| config.probes.sample(&mut rng, config.bins)));
                 rngs.push(rng);
             }
             bins.clear();
             self.store
-                .place_batch_into(probes, self.d, self.k, rngs, bins);
-            for (id, placed) in (start..end).zip(bins.chunks_exact(self.k)) {
+                .place_batch_into(probes, config.d, config.k, rngs, bins);
+            for (id, placed) in (start..end).zip(bins.chunks_exact(config.k)) {
                 self.ledger.record(id, placed);
             }
             start = end;
@@ -581,12 +579,9 @@ fn drive_striped(config: &OpenLoopConfig, schedule: &TrafficSchedule) -> DriveOu
     let ledger = PlacementLedger::new(schedule.timings.len(), config.k);
     let pipeline = Pipeline {
         store: &store,
-        probes: &config.probes,
-        n: config.bins,
         schedule,
         ledger: &ledger,
-        k: config.k,
-        d: config.d,
+        config,
         batch: match config.mode {
             PipelineMode::PerRequest => 1,
             PipelineMode::Batched => config.max_batch,

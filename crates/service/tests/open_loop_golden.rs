@@ -4,18 +4,13 @@
 //! (striped batched and per-request, shared-nothing at refresh 1 and 64,
 //! lock-free) over the exact and packed4 stores at λ ∈ {0.9, 1.3}.
 //!
-//! The expected values live in `fixtures/open_loop_golden.txt`. They were
-//! recorded before the drivers moved onto the placement ledger and the
-//! coordinator-free tick loop, so any change to which bins a request's
-//! balls land in, or which bins its departure frees, shows up here as a
-//! diff against the older drivers' output.
-//!
-//! To re-record after a deliberate change of stream (and say so in
-//! CHANGES.md):
-//!
-//! ```sh
-//! KD_GOLDEN_RECORD=1 cargo test --release -p kdchoice-service --test open_loop_golden
-//! ```
+//! The expected values are checked-in data in
+//! `fixtures/open_loop_golden.txt`. They were recorded before the drivers
+//! moved onto the placement ledger and the coordinator-free tick loop, so
+//! any change to which bins a request's balls land in, or which bins its
+//! departure frees, shows up here as a diff against the older drivers'
+//! output. A deliberate change of stream regenerates the fixture from
+//! `run_all()`'s output and says so in CHANGES.md.
 
 use std::fmt::Write as _;
 
@@ -24,7 +19,7 @@ use kdchoice_service::{
     run_open_loop, OpenLoopConfig, OpenLoopReport, PipelineMode, ServiceBackend,
 };
 
-const FIXTURE: &str = "tests/fixtures/open_loop_golden.txt";
+const FIXTURE: &str = include_str!("fixtures/open_loop_golden.txt");
 const BINS: usize = 1 << 10;
 const TICKS: u32 = 300;
 const SEED: u64 = 0x601D_E4C0_FFEE;
@@ -157,33 +152,5 @@ fn run_all() -> String {
 
 #[test]
 fn single_thread_drivers_match_the_recorded_fixture() {
-    let actual = run_all();
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(FIXTURE);
-    if std::env::var_os("KD_GOLDEN_RECORD").is_some() {
-        std::fs::write(&path, &actual).expect("write fixture");
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).expect("fixture present");
-    let expected_cases = expected.split("case ").filter(|c| !c.is_empty());
-    let actual_cases = actual.split("case ").filter(|c| !c.is_empty());
-    let mut compared = 0;
-    for (want, got) in expected_cases.zip(actual_cases) {
-        let label = want.lines().next().unwrap_or_default();
-        for (want_line, got_line) in want.lines().zip(got.lines()) {
-            if want_line == got_line {
-                continue;
-            }
-            // Point at the first differing entry, not the whole line.
-            let field = want_line.split(' ').next().unwrap_or_default();
-            let (want_item, got_item) = want_line
-                .split(' ')
-                .zip(got_line.split(' '))
-                .find(|(w, g)| w != g)
-                .unwrap_or(("<end>", "<end>"));
-            panic!("{label}: `{field}` differs from the fixture: want {want_item}, got {got_item}");
-        }
-        compared += 1;
-    }
-    assert_eq!(compared, DRIVERS.len() * STORES.len() * LAMBDAS.len());
-    assert_eq!(actual, expected, "fixture has extra or missing lines");
+    assert_eq!(run_all(), FIXTURE);
 }

@@ -3,11 +3,12 @@
 //! arrival/commit/departure **event stream** — and every statistic
 //! computed from it (latency quantiles, committed/backlog counts, ball
 //! conservation totals) — is bit-identical no matter how the placement
-//! pipeline is batched or threaded.
+//! pipeline is batched or threaded, or which tick-loop backend (striped
+//! or lock-free) runs it.
 
 use kdchoice_service::{
-    run_open_loop, ArrivalProcess, Lifetime, OpenLoopConfig, PipelineMode, TrafficConfig,
-    TrafficSchedule,
+    run_open_loop, ArrivalProcess, Lifetime, OpenLoopConfig, OpenLoopReport, PipelineMode,
+    ServiceBackend, TrafficConfig, TrafficSchedule,
 };
 use proptest::prelude::*;
 
@@ -19,7 +20,7 @@ fn config(seed: u64, rate: f64, service_rate: u32, ticks: u32) -> OpenLoopConfig
         shards: 4,
         threads: 1,
         mode: PipelineMode::Batched,
-        backend: kdchoice_service::ServiceBackend::Striped,
+        backend: ServiceBackend::Striped,
         snapshot_refresh: 1,
         store: kdchoice_core::StoreKind::Exact,
         max_batch: 8,
@@ -58,18 +59,24 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
     /// The engine cannot perturb the event stream: batched vs
-    /// per-request, any batch size, any thread count — same events,
-    /// same latency quantiles, same conservation totals.
+    /// per-request, striped vs lock-free, any batch size, any thread
+    /// count, any sampling stride — same events, same latency quantiles,
+    /// same conservation totals, same sampled ticks.
     ///
     /// What each group of assertions locks:
     /// * events/latency/committed equality pins the **config contract**:
     ///   the schedule (and everything derived from it) must never start
-    ///   depending on `mode`/`max_batch`/`threads` — e.g. someone
-    ///   folding the thread count into `traffic_seed` would fail here;
+    ///   depending on `mode`/`max_batch`/`threads`/`backend` — e.g.
+    ///   someone folding the thread count into `traffic_seed` would fail
+    ///   here;
     /// * `conserved`, `live_balls`, and (single-threaded) the final
     ///   histogram are **execution-derived** — read back from the store
     ///   — so a pipeline that drops, duplicates, or misroutes commits
-    ///   fails here.
+    ///   fails here;
+    /// * the sampled ticks and the live balls at each sample pin the
+    ///   **tick loop**: worker 0 samples only once every worker has
+    ///   finished the tick's releases and commits, so the live count at
+    ///   a sampled tick is a schedule property at any thread count.
     #[test]
     fn event_stream_survives_batching_and_threads(
         seed in any::<u64>(),
@@ -77,32 +84,37 @@ proptest! {
         service_rate in 1u32..4,
         max_batch in 1usize..20,
         threads in 2usize..5,
+        sparse_samples in any::<bool>(),
     ) {
-        let reference = run_open_loop(&config(seed, rate, service_rate, 80));
+        let mut base = config(seed, rate, service_rate, 80);
+        base.sample_every = if sparse_samples { 7 } else { 1 };
+        let reference = run_open_loop(&base);
         prop_assert!(reference.conserved);
+        prop_assert_eq!(reference.series.last().map(|s| s.tick), Some(79));
 
         let variants = [
-            {
-                let mut c = config(seed, rate, service_rate, 80);
-                c.mode = PipelineMode::PerRequest;
-                c
+            OpenLoopConfig {
+                mode: PipelineMode::PerRequest,
+                ..base.clone()
             },
-            {
-                let mut c = config(seed, rate, service_rate, 80);
-                c.max_batch = max_batch;
-                c
+            OpenLoopConfig {
+                max_batch,
+                ..base.clone()
             },
-            {
-                let mut c = config(seed, rate, service_rate, 80);
-                c.threads = threads;
-                c.max_batch = max_batch;
-                c
+            OpenLoopConfig {
+                threads,
+                max_batch,
+                ..base.clone()
             },
-            {
-                let mut c = config(seed, rate, service_rate, 80);
-                c.threads = threads;
-                c.mode = PipelineMode::PerRequest;
-                c
+            OpenLoopConfig {
+                threads,
+                mode: PipelineMode::PerRequest,
+                ..base.clone()
+            },
+            OpenLoopConfig {
+                threads,
+                backend: ServiceBackend::LockFree,
+                ..base.clone()
             },
         ];
         for (i, variant) in variants.iter().enumerate() {
@@ -119,6 +131,11 @@ proptest! {
                     "variant {i} final histogram"
                 );
             }
+            // Tick loop: the same ticks sampled, each at a quiescent point.
+            let ticks = |r: &OpenLoopReport| r.series.iter().map(|s| s.tick).collect::<Vec<_>>();
+            let live = |r: &OpenLoopReport| r.series.iter().map(|s| s.live_balls).collect::<Vec<_>>();
+            prop_assert_eq!(ticks(&report), ticks(&reference), "variant {i} sampled ticks");
+            prop_assert_eq!(live(&report), live(&reference), "variant {i} live balls per sample");
             // Config contract: the schedule side must be untouched.
             prop_assert_eq!(&report.events, &reference.events, "variant {i} event stream");
             prop_assert_eq!(report.requests_arrived, reference.requests_arrived);
